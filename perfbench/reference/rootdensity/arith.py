@@ -1,0 +1,258 @@
+"""Exact integer and rational arithmetic primitives.
+
+Factorization with a deterministic primality test, the classical
+multiplicative functions, squarefree decomposition, and the Kronecker
+symbol.  Everything here is pure and exact: the densities built on top
+are rational multiples of the Artin constant, so no float ever enters
+these code paths.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from fractions import Fraction
+from functools import lru_cache
+
+__all__ = [
+    "ExactRational",
+    "Factorization",
+    "SquarefreeDecomposition",
+    "euler_phi",
+    "factor",
+    "is_fundamental_discriminant",
+    "is_prime",
+    "is_squarefree",
+    "kronecker",
+    "mobius",
+    "squarefree_decompose",
+]
+
+# Coefficients ride on Fraction: Python ints are arbitrary precision, so
+# Euler products over the primes dividing f*h stay exact at any size.
+ExactRational = Fraction
+
+_FACTOR_CAP = 2**63
+_TRIAL_BOUND = 10**6
+
+# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality test for n < 3.3e24 (Miller-Rabin witnesses)."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+@dataclass(frozen=True)
+class Factorization:
+    """A positive integer as an ordered product of prime powers."""
+
+    value: int
+    factors: tuple[tuple[int, int], ...]
+
+    def __post_init__(self) -> None:
+        prod = 1
+        prev = 1
+        for p, e in self.factors:
+            if p <= prev or e < 1 or not is_prime(p):
+                raise ValueError(f"invalid factor list for {self.value}")
+            prev = p
+            prod *= p**e
+        if prod != self.value:
+            raise ValueError(f"factors do not multiply back to {self.value}")
+
+    def primes(self) -> tuple[int, ...]:
+        return tuple(p for p, _ in self.factors)
+
+
+def _trial_candidates():
+    yield 2
+    yield 3
+    k = 5
+    while True:
+        yield k
+        yield k + 2
+        k += 6
+
+
+def _rho_split(n: int) -> int:
+    """Nontrivial factor of a composite n with no divisor below the trial bound.
+
+    Brent's cycle-finding variant; the polynomial increment is bumped on the
+    rare cycle that collapses to n itself.
+    """
+    if n % 2 == 0:
+        return 2
+    for c in range(1, 100):
+        y, m, g, r, q = 2, 128, 1, 1, 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(m, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += m
+            r <<= 1
+        if g == n:
+            g = 1
+            y = ys
+            while g == 1:
+                y = (y * y + c) % n
+                g = math.gcd(abs(x - y), n)
+        if g != n:
+            return g
+    raise ArithmeticError(f"cycle search failed to split {n}")
+
+
+def _large_prime_powers(m: int) -> dict[int, int]:
+    # m has no prime factor below the trial bound; split until prime.
+    out: dict[int, int] = {}
+    stack = [m]
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            out[v] = out.get(v, 0) + 1
+            continue
+        d = _rho_split(v)
+        stack += [d, v // d]
+    return out
+
+
+@lru_cache(maxsize=None)
+def factor(n: int) -> Factorization:
+    """Factor 1 <= n <= 2**63 (trial division to 1e6, then a rho fallback)."""
+    if n < 1 or n > _FACTOR_CAP:
+        raise ValueError(f"factor() expects 1 <= n <= 2**63, got {n}")
+    m = n
+    powers: dict[int, int] = {}
+    for p in _trial_candidates():
+        if p > _TRIAL_BOUND or p * p > m:
+            break
+        while m % p == 0:
+            powers[p] = powers.get(p, 0) + 1
+            m //= p
+    if m > 1:
+        if m <= _TRIAL_BOUND * _TRIAL_BOUND:
+            # trial division already reached sqrt(m), so m is prime
+            powers[m] = powers.get(m, 0) + 1
+        else:
+            for p, e in _large_prime_powers(m).items():
+                powers[p] = powers.get(p, 0) + e
+    return Factorization(value=n, factors=tuple(sorted(powers.items())))
+
+
+@lru_cache(maxsize=None)
+def mobius(n: int) -> int:
+    """0 on a squared factor, otherwise (-1)^(number of prime factors)."""
+    fac = factor(n)
+    if any(e > 1 for _, e in fac.factors):
+        return 0
+    return -1 if len(fac.factors) % 2 else 1
+
+
+@lru_cache(maxsize=None)
+def euler_phi(n: int) -> int:
+    """Count of residues 1 <= k <= n coprime to n."""
+    result = n
+    for p in factor(n).primes():
+        result -= result // p
+    return result
+
+
+def is_squarefree(n: int) -> bool:
+    if n == 0:
+        return False
+    return mobius(abs(n)) != 0
+
+
+@dataclass(frozen=True)
+class SquarefreeDecomposition:
+    """g = g1 * g2**2 with g1 squarefree carrying the sign of g."""
+
+    g1: int
+    g2: int
+
+
+def squarefree_decompose(g: int) -> SquarefreeDecomposition:
+    if g == 0:
+        raise ValueError("0 has no squarefree decomposition")
+    g1, g2 = 1, 1
+    for p, e in factor(abs(g)).factors:
+        if e % 2:
+            g1 *= p
+        g2 *= p ** (e // 2)
+    return SquarefreeDecomposition(g1=g1 if g > 0 else -g1, g2=g2)
+
+
+def is_fundamental_discriminant(d: int) -> bool:
+    """True when d is the discriminant of a quadratic field (1 counts as
+    the trivial discriminant)."""
+    if d == 0:
+        return False
+    if d % 4 == 1:
+        return is_squarefree(d)
+    if d % 4 == 0:
+        m = d // 4
+        return m % 4 in (2, 3) and is_squarefree(m)
+    return False
+
+
+def kronecker(a: int, b: int) -> int:
+    """Kronecker symbol (a|b): the Jacobi symbol extended to every nonzero b.
+
+    (a|-1) is the sign of a, (a|2) matches (2|a) for odd a and is 0 for
+    even a, and the symbol is completely multiplicative in b.  By the
+    standard convention (a|b) = 0 whenever gcd(a, b) > 1, and (0|b) is 1
+    exactly for b = +-1.
+    """
+    if b == 0:
+        raise ValueError("Kronecker symbol needs a nonzero bottom argument")
+    result = 1
+    if b < 0:
+        b = -b
+        if a < 0:
+            result = -result
+    if b % 2 == 0:
+        if a % 2 == 0:
+            return 0
+        twos = (b & -b).bit_length() - 1
+        b >>= twos
+        if twos % 2 and a % 8 in (3, 5):
+            result = -result
+    # Jacobi reduction; b is odd and positive from here on.
+    a %= b
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if b % 8 in (3, 5):
+                result = -result
+        a, b = b, a
+        if a % 4 == 3 and b % 4 == 3:
+            result = -result
+        a %= b
+    return result if b == 1 else 0

@@ -1,0 +1,262 @@
+"""Closed-form densities of primes with a prescribed primitive root.
+
+For a base g (neither -1 nor a perfect square) and a residue class
+a mod f with gcd(a, f) = 1, the set of primes p congruent to a mod f
+such that g generates (Z/pZ)* has a natural density under GRH.  That
+density is an explicit rational multiple of the Artin constant
+
+    A = prod_p (1 - 1/(p(p-1))) = 0.3739558136...
+
+This module computes the rational coefficient exactly, by two
+independently coded routes: `delta_closed` keyed off the discriminant of
+the quadratic field generated by sqrt(g), and `delta_closed_v2` keyed off
+the squarefree kernel of g.  The intermediate quantities both routes are
+assembled from (h, the discriminant, b, gamma, the weight w, the Euler
+factor coefficient, the correction sum) are exposed so that every
+identity relating them can be tested as exact rational equality.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from decimal import ROUND_DOWN, Decimal, localcontext
+from fractions import Fraction
+from functools import lru_cache
+
+from .arith import (
+    euler_phi,
+    factor,
+    is_fundamental_discriminant,
+    kronecker,
+    mobius,
+    squarefree_decompose,
+)
+
+__all__ = [
+    "ARTIN_CONSTANT",
+    "ARTIN_CONSTANT_30_DIGITS",
+    "Base",
+    "DensityValue",
+    "InvalidBaseError",
+    "Progression",
+    "coeff_A",
+    "delta_closed",
+    "delta_closed_v2",
+    "gamma_factor",
+    "make_base",
+    "s_of_b",
+    "w",
+]
+
+# 30 decimal digits of prod_p (1 - 1/(p(p-1))); all numeric renderings of
+# densities are exact-rational coefficients times this value.
+ARTIN_CONSTANT_30_DIGITS = "0.373955813619202288054728054346"
+ARTIN_CONSTANT = Fraction(int(ARTIN_CONSTANT_30_DIGITS[2:]), 10**30)
+
+
+class InvalidBaseError(ValueError):
+    """The base is 0, -1 or a perfect square: such a base is a primitive
+    root for at most finitely many primes, and no density is computed."""
+
+
+@dataclass(frozen=True)
+class Base:
+    """A validated base together with its derived arithmetic data.
+
+    h is the largest exponent such that g is an exact h-th power (odd for
+    every admissible g), g1*g2**2 = g with g1 squarefree, and delta is the
+    discriminant of the quadratic field generated by sqrt(g): g1 itself
+    when g1 = 1 (mod 4), else 4*g1.
+    """
+
+    g: int
+    h: int
+    g1: int
+    g2: int
+    delta: int
+
+
+@lru_cache(maxsize=None)
+def make_base(g: int) -> Base:
+    if g in (-1, 0, 1) or (g > 1 and math.isqrt(g) ** 2 == g):
+        raise InvalidBaseError(
+            f"base {g} rejected: 0, -1 and perfect squares generate the full "
+            "multiplicative group for at most finitely many primes"
+        )
+    dec = squarefree_decompose(g)
+    h = math.gcd(*(e for _, e in factor(abs(g)).factors))
+    if g < 0:
+        while h % 2 == 0:
+            h //= 2
+    # a positive non-square has odd exponent gcd already
+    assert h % 2 == 1
+    delta = dec.g1 if dec.g1 % 4 == 1 else 4 * dec.g1
+    return Base(g=g, h=h, g1=dec.g1, g2=dec.g2, delta=delta)
+
+
+@dataclass(frozen=True)
+class Progression:
+    """Residue class a mod f with 1 <= a <= f and gcd(a, f) = 1."""
+
+    a: int
+    f: int
+
+    def __post_init__(self) -> None:
+        if self.f < 1 or not 1 <= self.a <= self.f:
+            raise ValueError(f"need 1 <= a <= f, got a={self.a}, f={self.f}")
+        if math.gcd(self.a, self.f) != 1:
+            raise ValueError(f"progression {self.a} mod {self.f} is not coprime")
+
+
+@dataclass(frozen=True)
+class DensityValue:
+    """A density held exactly as coefficient * ArtinConstant."""
+
+    coefficient: Fraction
+
+    def numeric(self, digits: int = 12) -> Decimal:
+        """Decimal rendering truncated to `digits` significant digits.
+
+        At most 30 digits are supported: that is the precision to which
+        the Artin constant is carried.
+        """
+        if not 1 <= digits <= 30:
+            raise ValueError("supported precision is 1..30 significant digits")
+        exact = self.coefficient * ARTIN_CONSTANT
+        with localcontext() as ctx:
+            ctx.prec = digits
+            ctx.rounding = ROUND_DOWN
+            return Decimal(exact.numerator) / Decimal(exact.denominator)
+
+    def __float__(self) -> float:
+        return float(self.coefficient * ARTIN_CONSTANT)
+
+
+def gamma_factor(f: int, base: Base) -> tuple[int, int]:
+    """The pair (b, gamma) steering the quadratic correction term.
+
+    b = delta / gcd(f, delta).  For even b the correction vanishes and
+    gamma is 1; for odd b, gamma = +-gcd(f, delta) is itself a fundamental
+    discriminant dividing f, and enters through the symbol (gamma | a).
+    """
+    if f < 1:
+        raise ValueError(f"modulus must be positive, got {f}")
+    d = math.gcd(f, abs(base.delta))
+    b = base.delta // d
+    if b % 2 == 0:
+        return b, 1
+    gamma = d if ((b - 1) // 2) % 2 == 0 else -d
+    assert is_fundamental_discriminant(gamma) and f % abs(gamma) == 0
+    return b, gamma
+
+
+def w(k: int, f: int, h: int) -> int:
+    """Multiplicative weight k * phi(lcm(k, f)) / (gcd(k, h) * phi(f)).
+
+    On primes: p(p-1) away from f and h, p on f only, p-1 on h only, 1 on
+    both, and w(2) = 2 whenever h is odd.
+    """
+    if k < 1 or f < 1 or h < 1 or h % 2 == 0:
+        raise ValueError(f"need k, f >= 1 and odd h; got k={k}, f={f}, h={h}")
+    num = k * euler_phi(math.lcm(k, f))
+    den = math.gcd(k, h) * euler_phi(f)
+    assert num % den == 0
+    return num // den
+
+
+@lru_cache(maxsize=None)
+def _coeff_A_fixed(f: int, h: int) -> Fraction:
+    # the class-independent part of the coefficient of A in the Euler factor
+    c = Fraction(1)
+    for p in factor(h).primes():
+        if f % p:
+            c *= Fraction(p - 2, p - 1)
+    for p in sorted(set(factor(f).primes()) | set(factor(h).primes())):
+        c /= 1 - Fraction(1, p * (p - 1))
+    return c
+
+
+def coeff_A(prog: Progression, h: int) -> Fraction:
+    """Coefficient c such that the Euler factor A(a, f, h) equals c * A.
+
+    Zero when gcd(a-1, f, h) > 1.  Otherwise the product of (1 - 1/p)
+    over p | gcd(a-1, f) and (1 - 1/(p-1)) over p | h away from f,
+    renormalized against the full Artin product by exact division over
+    the finitely many primes dividing f*h.
+    """
+    a, f = prog.a, prog.f
+    if math.gcd(math.gcd(a - 1, f), h) > 1:
+        return Fraction(0)
+    c = _coeff_A_fixed(f, h)
+    for p in factor(math.gcd(a - 1, f)).primes():
+        c *= Fraction(p - 1, p)
+    return c
+
+
+def s_of_b(prog: Progression, base: Base) -> Fraction:
+    """Coefficient of the Artin constant in the correction sum S(b).
+
+    S(b) = -mu(2|b|) A(a,f,h) / prod_{p|b} (w(p) - 1); it vanishes for
+    even b, and the even-index restriction of the same sum is exactly
+    -S(b).
+    """
+    b, _ = gamma_factor(prog.f, base)
+    if b % 2 == 0:
+        return Fraction(0)
+    denom = 1
+    for p in factor(abs(b)).primes():
+        denom *= w(p, prog.f, base.h) - 1
+    return Fraction(-mobius(2 * abs(b)), denom) * coeff_A(prog, base.h)
+
+
+def delta_closed(prog: Progression, g: int) -> DensityValue:
+    """Exact density of the class, via the discriminant route."""
+    base = make_base(g)
+    c = coeff_A(prog, base.h)
+    if c == 0:
+        return DensityValue(Fraction(0))
+    b, gamma = gamma_factor(prog.f, base)
+    corr = Fraction(1)
+    mu2b = mobius(2 * abs(b))
+    if mu2b:
+        denom = 1
+        for p in factor(abs(b)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+        corr += Fraction(kronecker(gamma, prog.a) * mu2b, denom)
+    coefficient = c * corr / euler_phi(prog.f)
+    assert coefficient >= 0
+    return DensityValue(coefficient)
+
+
+def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
+    """Exact density of the class, via the squarefree-kernel route.
+
+    The correction is active exactly when g1 = 1 (mod 4), or g1 = 2
+    (mod 4) with 8 | f, or g1 = 3 (mod 4) with 4 | f; the condition is
+    recomputed from those congruences rather than from the parity of b,
+    so equality with `delta_closed` is a meaningful cross-check.
+    """
+    base = make_base(g)
+    c = coeff_A(prog, base.h)
+    if c == 0:
+        return DensityValue(Fraction(0))
+    f, g1 = prog.f, base.g1
+    active = (
+        g1 % 4 == 1
+        or (g1 % 4 == 2 and f % 8 == 0)
+        or (g1 % 4 == 3 and f % 4 == 0)
+    )
+    corr = Fraction(1)
+    if active:
+        d = math.gcd(abs(g1), f)
+        beta = g1 // d
+        assert beta % 2 != 0
+        gamma1 = d if ((beta - 1) // 2) % 2 == 0 else -d
+        denom = 1
+        for p in factor(abs(beta)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+        corr -= Fraction(kronecker(gamma1, prog.a) * mobius(abs(beta)), denom)
+    coefficient = c * corr / euler_phi(f)
+    assert coefficient >= 0
+    return DensityValue(coefficient)
