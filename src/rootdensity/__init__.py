@@ -4,7 +4,6 @@ independent truncated-series evaluator, a sieve-based empirical harness,
 and classifiers for vanishing and equidistribution."""
 
 from .arith import (
-    ExactRational,
     Factorization,
     SquarefreeDecomposition,
     euler_phi,
@@ -32,7 +31,7 @@ from .density import (
     s_of_b,
     w,
 )
-from .scan import EmpiricalCount, ScanConfig, heuristic_sum, is_primitive_root, li, scan
+from .scan import EmpiricalCount, ScanConfig, is_primitive_root, li, scan
 from .series import SeriesEstimate, c_a, degree_nkr, series_truncated
 
 __version__ = "0.1.0"
@@ -43,7 +42,6 @@ __all__ = [
     "Base",
     "DensityValue",
     "EmpiricalCount",
-    "ExactRational",
     "Factorization",
     "InvalidBaseError",
     "Progression",
@@ -62,7 +60,6 @@ __all__ = [
     "euler_phi",
     "factor",
     "gamma_factor",
-    "heuristic_sum",
     "is_fundamental_discriminant",
     "is_prime",
     "is_primitive_root",

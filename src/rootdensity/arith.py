@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 __all__ = [
-    "ExactRational",
     "Factorization",
     "SquarefreeDecomposition",
     "euler_phi",
@@ -28,19 +26,20 @@ __all__ = [
     "squarefree_decompose",
 ]
 
-# Coefficients ride on Fraction: Python ints are arbitrary precision, so
-# Euler products over the primes dividing f*h stay exact at any size.
-ExactRational = Fraction
-
 _FACTOR_CAP = 2**63
 _TRIAL_BOUND = 10**6
 
-# Deterministic Miller-Rabin witness set, valid for all n < 3.3e24.
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# Deterministic Miller-Rabin witness set: the primes up to 41 decide every
+# n below psi_13, the least strong pseudoprime to all of them.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981  # psi_13, about 3.3e24
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24 (Miller-Rabin witnesses)."""
+    """Deterministic primality test for n < 3.3e24 (Miller-Rabin witnesses);
+    larger n raise ValueError, as the witnesses no longer decide them."""
+    if n >= _MR_LIMIT:
+        raise ValueError(f"is_prime is deterministic only below {_MR_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

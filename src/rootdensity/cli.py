@@ -18,7 +18,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from decimal import Decimal, localcontext
 
 from .classify import wud_set, zero_density
@@ -38,35 +37,15 @@ SCAN_COLUMNS = ["a", "primes_in_class", "hits", "observed", "predicted", "abs_er
 CLASSIFY_COLUMNS = ["f", "is_wud", "family", "zero_residues"]
 
 
-@dataclass(frozen=True)
-class OutputRecord:
-    """One emitted row: the exact coefficient string round-trips to the
-    identical rational."""
-
-    g: int
-    f: int
-    a: int
-    coefficient: str
-    numeric: str
-    method: str
-    value: str = ""
-    error: str = ""
-
-    def cells(self) -> dict[str, str]:
-        return {
-            "g": str(self.g),
-            "f": str(self.f),
-            "a": str(self.a),
-            "coefficient": self.coefficient,
-            "numeric": self.numeric,
-            "method": self.method,
-            "value": self.value,
-            "error": self.error,
-        }
-
-
 def _residues(f: int) -> list[int]:
     return [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
+
+
+def _classes(args) -> list[Progression]:
+    """The requested classes (-a, or every coprime class mod f), validated
+    before any work is done."""
+    classes = [args.a] if args.a is not None else _residues(args.f)
+    return [Progression(a, args.f) for a in classes]
 
 
 def _sig_decimal(value: Decimal, digits: int) -> str:
@@ -97,39 +76,39 @@ def _emit(rows: list[dict[str, str]], columns: list[str], fmt: str, out) -> None
 
 def _density_record(g: int, f: int, a: int, dv: DensityValue, method: str,
                     digits: int, value: str = "", error: str = "") -> dict[str, str]:
-    record = OutputRecord(
-        g=g,
-        f=f,
-        a=a,
-        coefficient=str(dv.coefficient),
-        numeric=str(dv.numeric(digits)),
-        method=method,
-        value=value,
-        error=error,
-    )
-    return record.cells()
+    """One emitted row; the coefficient string round-trips to the identical
+    rational."""
+    return {
+        "g": str(g),
+        "f": str(f),
+        "a": str(a),
+        "coefficient": str(dv.coefficient),
+        "numeric": str(dv.numeric(digits)),
+        "method": method,
+        "value": value,
+        "error": error,
+    }
 
 
 def cmd_density(args) -> int:
     make_base(args.g)
-    classes = [args.a] if args.a is not None else _residues(args.f)
     compute = delta_closed_v2 if args.method == "closed_v2" else delta_closed
     rows = []
-    for a in classes:
-        dv = compute(Progression(a, args.f), args.g)
-        rows.append(_density_record(args.g, args.f, a, dv, args.method, args.digits))
+    for prog in _classes(args):
+        dv = compute(prog, args.g)
+        rows.append(_density_record(args.g, args.f, prog.a, dv, args.method, args.digits))
     _emit(rows, RECORD_COLUMNS, args.format, sys.stdout)
     return 0
 
 
 def cmd_verify(args) -> int:
     make_base(args.g)
+    classes = _classes(args)
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
-    classes = [args.a] if args.a is not None else _residues(args.f)
     rows = []
     failures = []
-    for a in classes:
-        prog = Progression(a, args.f)
+    for prog in classes:
+        a = prog.a
         dv = delta_closed(prog, args.g)
         est = series_truncated(prog, args.g, args.N)
         count = counts[a]
@@ -201,15 +180,15 @@ def cmd_scan(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
+    classes = _classes(args)
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
-    classes = [args.a] if args.a is not None else _residues(args.f)
     rows = []
-    for a in classes:
-        count = counts[a]
-        dv = delta_closed(Progression(a, args.f), args.g)
+    for prog in classes:
+        count = counts[prog.a]
+        dv = delta_closed(prog, args.g)
         main_term = float(dv) * count.li_x
         rows.append(_density_record(
-            args.g, args.f, a, dv, "heuristic", args.digits,
+            args.g, args.f, prog.a, dv, "heuristic", args.digits,
             value=_sig_float(count.heuristic_sum, args.digits),
             error=_sig_float(abs(count.heuristic_sum - main_term), args.digits),
         ))
@@ -224,7 +203,7 @@ def _add_common(sub, scanning: bool = False) -> None:
     sub.add_argument("--digits", type=int, default=12, choices=range(1, 31),
                      metavar="1..30", help="significant digits in numeric output")
     if scanning:
-        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
+        sub.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
                          help="worker processes for the sieve scan")
 
 

@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    _FACTOR_CAP,
     euler_phi,
     factor,
     is_fundamental_discriminant,
@@ -79,6 +80,8 @@ class Base:
 
 @lru_cache(maxsize=None)
 def make_base(g: int) -> Base:
+    if abs(g) > _FACTOR_CAP:
+        raise InvalidBaseError(f"base {g} rejected: |g| > 2**63 is too large to factor")
     if g in (-1, 0, 1) or (g > 1 and math.isqrt(g) ** 2 == g):
         raise InvalidBaseError(
             f"base {g} rejected: 0, -1 and perfect squares generate the full "

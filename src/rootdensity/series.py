@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from functools import lru_cache
 
+import numpy as np
+
 from .arith import euler_phi, is_squarefree, kronecker
 from .density import Base, Progression, gamma_factor, make_base
 from .sieves import mobius_table, phi_table
@@ -24,6 +26,7 @@ from .sieves import mobius_table, phi_table
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
 
 _WORKING_PRECISION = 50  # digits carried by the partial sum
+_BLOCK = 1 << 16  # n per array pass of _bucket_sums, which bounds its memory
 
 
 @dataclass(frozen=True)
@@ -35,23 +38,30 @@ class SeriesEstimate:
     tail_bound: Decimal
 
 
-def degree_nkr(k: int, r: int, base: Base) -> int:
-    """Degree over Q of the field of r-th roots of unity and a k-th root of g.
+def _degree(n, gcd_nh, phi_r, r, abs_delta):
+    """The degree lemma, elementwise over ints or integer arrays: for
+    squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly, as h is
+    odd) when n is even and the discriminant divides r, since the square
+    root of g1 then already lies in the r-th cyclotomic field."""
+    halve = (n % 2 == 0) & (r % abs_delta == 0)
+    return n // gcd_nh * phi_r // (1 + halve)
 
-    Requires squarefree k dividing r.  With k1 = k / gcd(k, h) the degree
-    is k1 * phi(r), halved when k is even and the discriminant divides r
-    (the square root of g1 already lies in the r-th cyclotomic field).
-    """
+
+def _needs_symbol(n, r, abs_delta):
+    """The quadratic-symbol condition, elementwise: with r = lcm(f, n), the
+    intersection field picks up a square root iff n is even and the
+    discriminant divides r but not n."""
+    return (n % 2 == 0) & (n % abs_delta != 0) & (r % abs_delta == 0)
+
+
+def degree_nkr(k: int, r: int, base: Base) -> int:
+    """Degree over Q of the field of r-th roots of unity and a k-th root of g,
+    for squarefree k dividing r (the lemma in `_degree`)."""
     if k < 1 or r < 1 or r % k:
         raise ValueError(f"need k | r, got k={k}, r={r}")
     if not is_squarefree(k):
         raise ValueError(f"k must be squarefree, got {k}")
-    deg = (k // math.gcd(k, base.h)) * euler_phi(r)
-    if k % 2 == 0 and r % abs(base.delta) == 0:
-        # h odd makes k1 even here, so the halved degree is an integer
-        assert deg % 2 == 0
-        deg //= 2
-    return deg
+    return _degree(k, math.gcd(k, base.h), euler_phi(r), r, abs(base.delta))
 
 
 def c_a(n: int, prog: Progression, base: Base) -> int:
@@ -60,14 +70,12 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
     Defined for squarefree n (callers drop the rest, where the series
     weight vanishes anyway): 1 iff a = 1 (mod gcd(f, n)) and, in the one
     configuration where the intersection field picks up a square root
-    (n even, delta not dividing n but dividing lcm(f, n)), additionally
-    (gamma | a) = 1.
+    (`_needs_symbol`), additionally (gamma | a) = 1.
     """
     d = math.gcd(prog.f, n)
     if (prog.a - 1) % d:
         return 0
-    abs_delta = abs(base.delta)
-    if n % 2 == 0 and n % abs_delta and (prog.f * n // d) % abs_delta == 0:
+    if _needs_symbol(n, prog.f * n // d, abs(base.delta)):
         _, gamma = gamma_factor(prog.f, base)
         if kronecker(gamma, prog.a) != 1:
             return 0
@@ -82,30 +90,37 @@ def _bucket_sums(
     (gcd(f, n), needs-quadratic-symbol).
 
     Every class a mod f assembles its partial sum from at most 2*tau(f)
-    buckets, so the O(limit) pass is paid once per (f, g, limit).
+    buckets, so the O(limit) pass is paid once per (f, g, limit).  Degrees and
+    keys are arrays over blocks of n (int64 when every intermediate fits, else
+    Python ints); each bucket adds its Decimal terms in ascending n.
     """
     base = make_base(g)
     abs_delta = abs(base.delta)
-    h = base.h
     mob = mobius_table(limit)
     phi = phi_table(limit)
     phi_f = euler_phi(f)
+    # r = f*n/d <= f*limit and degree <= limit * phi(f) * limit
+    dtype = np.int64 if max(f, phi_f * limit, abs_delta) * limit < 2**63 else object
     sums: dict[tuple[int, bool], Decimal] = {}
     with localcontext() as ctx:
         ctx.prec = _WORKING_PRECISION
-        for n in range(1, limit + 1):
-            mu = int(mob[n])
-            if mu == 0:
-                continue
-            d = math.gcd(f, n)
+        for lo in range(1, limit + 1, _BLOCK):
+            idx = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
+            n = idx.astype(dtype, copy=False)
+            d = np.gcd(n, f)
+            r = f * n // d
             # phi(lcm(f, n)) = phi(f) phi(n) / phi(gcd(f, n))
-            deg = (n // math.gcd(n, h)) * (phi_f * int(phi[n]) // int(phi[d]))
-            special = False
-            if n % 2 == 0 and (f * n // d) % abs_delta == 0:
-                deg //= 2
-                special = n % abs_delta != 0
-            key = (d, special)
-            sums[key] = sums.get(key, Decimal(0)) + Decimal(mu) / Decimal(deg)
+            phi_r = phi_f * (phi[idx] // phi[d.astype(np.int64)]).astype(dtype)
+            deg = _degree(n, np.gcd(n, base.h), phi_r, r, abs_delta)
+            special = _needs_symbol(n, r, abs_delta)
+            mu = mob[idx]
+            for dv in np.unique(d).tolist():
+                for sp in (False, True):
+                    mask = (d == dv) & (special == sp)
+                    if mask.any():
+                        terms = zip(mu[mask].tolist(), deg[mask].tolist())
+                        start = sums.get((dv, sp), Decimal(0))
+                        sums[(dv, sp)] = sum((Decimal(m) / k for m, k in terms), start)
     return tuple(sorted(sums.items()))
 
 

@@ -12,6 +12,7 @@ from rootdensity.arith import (
     euler_phi,
     factor,
     is_fundamental_discriminant,
+    is_prime,
     is_squarefree,
     kronecker,
     mobius,
@@ -58,6 +59,18 @@ class TestFactor:
             Factorization(value=12, factors=((3, 1), (2, 2)))
         with pytest.raises(ValueError):
             Factorization(value=8, factors=((8, 1),))
+
+
+class TestIsPrime:
+    def test_rejects_twelfth_strong_pseudoprime(self):
+        # psi_12: a strong pseudoprime to every prime base up to 37
+        psi12 = 318665857834031151167461
+        assert not sympy.isprime(psi12)
+        assert is_prime(psi12) is False
+
+    def test_raises_beyond_deterministic_range(self):
+        with pytest.raises(ValueError):
+            is_prime(3317044064679887385961981)  # psi_13
 
 
 class TestMobiusPhi:

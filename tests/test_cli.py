@@ -3,6 +3,7 @@ import io
 import json
 from fractions import Fraction
 
+from rootdensity import cli
 from rootdensity.cli import main
 
 
@@ -67,6 +68,11 @@ class TestDensityCommand:
             assert r1["coefficient"] == r2["coefficient"]
             assert r2["method"] == "closed_v2"
 
+    def test_oversized_base_rejected(self, capsys):
+        code, _, err = run_cli(capsys, "density", "-g", str(2**63 + 1), "-f", "4")
+        assert code == 2
+        assert "too large" in err
+
     def test_digits_flag(self, capsys):
         _, out, _ = run_cli(capsys, "density", "-g", "2", "--digits", "30", "--format", "csv")
         assert parse_csv(out)[0]["numeric"] == "0.373955813619202288054728054346"
@@ -101,6 +107,15 @@ class TestVerifyCommand:
         )
         assert code == 1
         assert "FAIL" in err
+
+    def test_non_coprime_class_rejected_before_scan(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scan ran before the class was validated")
+
+        monkeypatch.setattr(cli, "scan", no_scan)
+        code, _, err = run_cli(capsys, "verify", "-g", "2", "-f", "4", "-a", "2", "--threads", "1")
+        assert code == 2
+        assert "coprime" in err
 
     def test_coarse_truncation_still_passes(self, capsys):
         # N = 16 leaves a wide tail bound, which the check respects
@@ -185,6 +200,13 @@ class TestHeuristicCommand:
             assert row["method"] == "heuristic"
             value, error = float(row["value"]), float(row["error"])
             assert error <= 0.05 * value
+
+    def test_non_coprime_class_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "heuristic", "-g", "2", "-f", "4", "-a", "2", "-x", "1000", "--threads", "1",
+        )
+        assert code == 2
+        assert "coprime" in err
 
     def test_csv_json_identical_data(self, capsys):
         args = ("heuristic", "-g", "2", "-f", "1", "-x", "10000", "--threads", "1")

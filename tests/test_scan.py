@@ -1,20 +1,19 @@
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
 import sympy
 
+import rootdensity
 from rootdensity.arith import euler_phi, kronecker
 from rootdensity.density import InvalidBaseError, Progression, delta_closed
-from rootdensity.scan import (
-    ScanConfig,
-    heuristic_sum,
-    is_primitive_root,
-    li,
-    scan,
-)
+from rootdensity.scan import ScanConfig, is_primitive_root, li, scan
 
 from conftest import brute_order, residues
 
@@ -107,9 +106,9 @@ class TestScan:
         assert one == two == three
 
     def test_deterministic_across_segment_sizes(self):
-        small = scan(-6, 7, 30_000, ScanConfig(segment_size=1 << 10))
-        big = scan(-6, 7, 30_000, ScanConfig(segment_size=1 << 20))
-        assert small == big
+        for x, sizes in [(30_000, (1 << 10, 1 << 20)), (10**6, (4096, 10007, 1 << 18))]:
+            runs = [scan(-6, 7, x, ScanConfig(segment_size=s)) for s in sizes]
+            assert all(run == runs[0] for run in runs)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidBaseError):
@@ -136,7 +135,7 @@ class TestScan:
 
 class TestHeuristicSum:
     def test_empty_below_first_qualifying_prime(self):
-        assert heuristic_sum(2, 1, 1, 2) == 0.0
+        assert scan(2, 1, 2)[1].heuristic_sum == 0.0
 
     def test_exact_enumeration_to_hundred(self):
         # 2 * sum over odd p <= 100 with (2|p) = -1 of phi(p-1)/(p-1)
@@ -144,7 +143,7 @@ class TestHeuristicSum:
         for p in sympy.primerange(3, 101):
             if kronecker(2, p) == -1:
                 expected += 2 * Fraction(euler_phi(p - 1), p - 1)
-        got = heuristic_sum(2, 1, 1, 100)
+        got = scan(2, 1, 100)[1].heuristic_sum
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     def test_h_filter_applies(self):
@@ -153,7 +152,7 @@ class TestHeuristicSum:
         for p in sympy.primerange(3, 2001):
             if kronecker(8, p) == -1 and math.gcd(p - 1, 3) == 1:
                 expected += 2 * Fraction(euler_phi(p - 1), p - 1)
-        got = heuristic_sum(8, 1, 1, 2000)
+        got = scan(8, 1, 2000)[1].heuristic_sum
         assert got == pytest.approx(float(expected), rel=1e-12)
 
     def test_tracks_scaled_hit_count(self):
@@ -161,11 +160,6 @@ class TestHeuristicSum:
         for a, c in counts.items():
             scaled = c.hits * (c.li_x / c.primes_total)
             assert c.heuristic_sum == pytest.approx(scaled, rel=0.05)
-
-    def test_matches_scan_field(self):
-        counts = scan(3, 5, 10**4)
-        for a in residues(5):
-            assert heuristic_sum(3, 5, a, 10**4) == counts[a].heuristic_sum
 
 
 class TestLi:
@@ -176,7 +170,7 @@ class TestLi:
         assert li(10**6) == pytest.approx(78626.5, abs=0.5)
 
     def test_against_mpmath(self):
-        for x in (10, 10**3, 10**4, 10**6, 10**7):
+        for x in (3, 10, 10**3, 10**4, 10**6, 10**7, 10**8):
             expected = float(mpmath.li(x) - mpmath.li(2))
             assert li(x) == pytest.approx(expected, rel=1e-8)
 
@@ -186,6 +180,14 @@ class TestLi:
     def test_rejects_below_two(self):
         with pytest.raises(ValueError):
             li(1.5)
+
+    def test_import_leaves_out_scipy(self):
+        # a fresh interpreter importing this same copy of the package
+        env = {**os.environ, "PYTHONPATH": str(Path(rootdensity.__file__).parents[1])}
+        code = "import sys, rootdensity; print('scipy' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "False"
 
 
 class TestEmpiricalConvergence:

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from rootdensity.arith import euler_phi, is_squarefree, mobius
+from rootdensity import series
 from rootdensity.density import Progression, delta_closed, make_base
 from rootdensity.series import SeriesEstimate, c_a, degree_nkr, series_truncated
 
@@ -98,15 +99,32 @@ class TestSeriesTruncated:
         assert est.partial_sum == Decimal("0.5")  # 1 - 1/2
 
     def test_matches_naive_formula(self):
-        for g, f in [(2, 1), (2, 8), (-3, 12), (8, 5), (21, 4)]:
-            for a in residues(f):
-                prog = Progression(a, f)
-                est = series_truncated(prog, g, N=300)
-                exact = _naive_partial_sum(prog, g, 300)
-                with localcontext() as ctx:
-                    ctx.prec = 60
-                    reference = Decimal(exact.numerator) / Decimal(exact.denominator)
-                    assert abs(est.partial_sum - reference) < Decimal("1e-45")
+        cases = [
+            (g, Progression(a, f), 300)
+            for g, f in [(2, 1), (2, 8), (-3, 12), (8, 5), (21, 4)]
+            for a in residues(f)
+        ]
+        # beyond int64: phi(f) * N**2 for f = 2**50, and |delta| = 4 * (2**62 + 1)
+        cases += [(2, Progression(a, 2**50), 500) for a in (1, 3, 2**49 + 1, 2**50 - 1)]
+        cases += [(-(2**62 + 1), Progression(a, 8), 500) for a in residues(8)]
+        for g, prog, N in cases:
+            est = series_truncated(prog, g, N=N)
+            exact = _naive_partial_sum(prog, g, N)
+            with localcontext() as ctx:
+                ctx.prec = 60
+                reference = Decimal(exact.numerator) / Decimal(exact.denominator)
+                assert abs(est.partial_sum - reference) < Decimal("1e-45")
+
+    def test_blocks_leave_bucket_sums_unchanged(self, monkeypatch):
+        # each bucket must add its terms in ascending n across block edges
+        cases = [(1, 2, 3000), (28, 2, 3000), (24, -15, 3000), (2**50, 2, 500)]
+        whole = [series._bucket_sums(*case) for case in cases]
+        series._bucket_sums.cache_clear()
+        monkeypatch.setattr(series, "_BLOCK", 7)
+        try:
+            assert [series._bucket_sums(*case) for case in cases] == whole
+        finally:
+            series._bucket_sums.cache_clear()
 
     def test_converges_to_artin_constant(self):
         est = series_truncated(Progression(1, 1), 2, N=10**4)
