@@ -1,23 +1,41 @@
 """Prime-scanning harness.
 
-Sieves the primes up to x in cache-sized segments and counts, per
-coprime residue class a mod f, how many have g as a primitive root,
-alongside the weighted character sum 2 * sum phi(p-1)/(p-1) over primes
-with (g|p) = -1 and gcd(p-1, h) = 1 that heuristically tracks the same
-counts.  Segments are independent, merged in position order and summed
-exactly, so the result is identical for any worker count and segment size.
+Sieves the primes up to x in segments and counts, per coprime residue
+class a mod f, how many have g as a primitive root, alongside the weighted
+character sum 2 * sum phi(p-1)/(p-1) over primes with (g|p) = -1 and
+gcd(p-1, h) = 1 that heuristically tracks the same counts.
+
+Each segment is array work, with no loop over its primes:
+
+- Euler's criterion, g^((p-1)/2) = (g|p) (mod p) for odd p not dividing g,
+  is evaluated for all those primes at once.  g can be a primitive root
+  only where it gives -1, and that sign is also the heuristic's filter,
+  so about half the primes stop here.
+- For the rest, sieving the shifted window of the values p - 1
+  (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
+  phi(p - 1).
+- One square-and-multiply over all pairs (p, q) with q odd decides
+  g^((p-1)/q) != 1.  It runs in int64: residues are below p <= X_CAP =
+  10^8 < 2^27, so the product of two is below 2^54 and never wraps.
+- Per-class counts come from np.bincount.  The heuristic terms
+  floor(phi(p-1) * 2^96 / (p-1)) are summed as four 24-bit digits by a
+  float64 bincount, which is exact while every sum stays below 2^53.
+
+Segments are independent, merged in position order and summed exactly,
+so the result is identical for any worker count and segment size.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-from .arith import factor, is_prime, kronecker
+import numpy as np
+
+from .arith import factor, is_prime
 from .density import make_base
-from .sieves import prime_sieve, segment_primes
+from .sieves import factor_predecessors, prime_sieve, segment_primes
 
 __all__ = [
     "EmpiricalCount",
@@ -27,12 +45,13 @@ __all__ = [
     "scan",
 ]
 
-X_CAP = 10**8  # desk scale; the sieve and per-prime work are sized for this
+X_CAP = 10**8  # desk scale; keeps p**2 < 2**63 for the int64 order tests
 
 # The heuristic sum is kept in integer units of 2**-_HEUR_BITS and rounded
 # once, so no split of the primes into segments can change it; flooring
 # X_CAP terms loses under 2**-69.
 _HEUR_BITS = 96
+_DIGIT_BITS = 24  # _HEUR_BITS is summed in four digits of this width
 
 _EULER_GAMMA = 0.5772156649015329
 _LI_2 = 1.0451637801174928  # li(2), the offset of the integral taken from 2
@@ -40,9 +59,17 @@ _LI_2 = 1.0451637801174928  # li(2), the offset of the integral taken from 2
 
 @dataclass(frozen=True)
 class ScanConfig:
-    """Scan tuning: segment length (~256 KiB of sieve flags) and workers."""
+    """Scan tuning: segment length and worker processes.
 
-    segment_size: int = 1 << 18
+    A segment of 2^16 numbers peaks near 0.5 MB of arrays (sieve flags,
+    the shifted sieve's index of odd positions, a few int64 arrays per
+    prime and per (p, q) pair), and every pool worker holds one.  Each
+    segment also walks the base primes up to sqrt(x) once per sieve, so
+    longer segments run faster at large x (2^18 takes about two thirds of
+    the time of 2^16 at x = 10^8) for proportionally more memory.
+    """
+
+    segment_size: int = 1 << 16
     workers: int = 1
 
 
@@ -93,46 +120,88 @@ def is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, pm1 // q, p) != 1 for q in factor(pm1).primes())
 
 
-def _distinct_prime_factors(m: int, base_primes: list[int]) -> list[int]:
-    # base_primes reach sqrt(m), so the final cofactor is prime
-    out = []
-    for q in base_primes:
-        if q * q > m:
-            break
-        if m % q == 0:
-            out.append(q)
-            m //= q
-            while m % q == 0:
-                m //= q
-    if m > 1:
-        out.append(m)
-    return out
+def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base**exp % mod elementwise by square-and-multiply over int64 arrays,
+    for 0 <= base < mod, exp >= 0 and mod**2 < 2**63, so that no product
+    of two residues overflows.  Overwrites base and exp."""
+    result = np.ones_like(base)
+    product = np.empty_like(base)
+    odd = np.empty(len(base), dtype=bool)
+    bits = int(exp.max()).bit_length() if len(exp) else 0
+    for bit in range(bits):
+        if bit:
+            np.multiply(base, base, out=base)
+            np.remainder(base, mod, out=base)
+            exp >>= 1
+        np.bitwise_and(exp, 1, out=odd, casting="unsafe")
+        np.multiply(result, base, out=product)
+        np.remainder(product, mod, out=product)
+        np.copyto(result, product, where=odd)
+    return result
+
+
+def _mod_primes(g: int, p: np.ndarray) -> np.ndarray:
+    """g mod p elementwise for |g| <= 2**63 and primes p < 2**31: the high
+    and low 32-bit halves of g are reduced apart, so g need not fit int64."""
+    high, low = divmod(g, 1 << 32)  # |high| <= 2**31, 0 <= low < 2**32
+    r = high % p
+    r *= (1 << 32) % p
+    r += low % p
+    r %= p
+    return r
+
+
+def _classes(key: np.ndarray, lo: int, f: int) -> list[int]:
+    """The class a (1 <= a <= f) of lo + key mod f, elementwise."""
+    cls = (lo + key) % f
+    cls[cls == 0] = f
+    return cls.tolist()
+
+
+def _by_class(key: np.ndarray, lo: int, f: int) -> dict[int, int]:
+    """The number of primes p = lo + key (mod f) per class."""
+    counts = np.bincount(key)
+    nz = np.flatnonzero(counts)
+    return dict(zip(_classes(nz, lo, f), counts[nz].tolist()))
 
 
 def _scan_segment(args: tuple) -> tuple:
     g, f, lo, hi, base_primes, h = args
-    total = 0
-    in_class: dict[int, int] = {}
-    hits: dict[int, int] = {}
-    heur: dict[int, int] = {}
-    for p in segment_primes(lo, hi, base_primes):
-        total += 1
-        cls = p % f or f
-        if math.gcd(cls, f) != 1:
-            continue
-        in_class[cls] = in_class.get(cls, 0) + 1
-        if p == 2 or g % p == 0:
-            continue
-        pm1 = p - 1
-        qs = _distinct_prime_factors(pm1, base_primes)
-        gp = g % p
-        if all(pow(gp, pm1 // q, p) != 1 for q in qs):
-            hits[cls] = hits.get(cls, 0) + 1
-        if math.gcd(pm1, h) == 1 and kronecker(g, p) == -1:
-            phi = pm1
-            for q in qs:
-                phi -= phi // q
-            heur[cls] = heur.get(cls, 0) + (phi << _HEUR_BITS) // pm1
+    p = segment_primes(lo, hi, base_primes)
+    total = len(p)
+    p = p[f % p != 0]  # p in a class coprime to f, as p is prime
+    # key = (p - lo) mod f names the class (lo + key) mod f and stays below
+    # min(f, hi - lo), which bounds the length of every bincount
+    key = (p - lo) % f
+    in_class = _by_class(key, lo, f)
+    gp = _mod_primes(g, p)
+    keep = (p != 2) & (gp != 0)
+    p, key, gp = p[keep], key[keep], gp[keep]
+    # Euler's criterion: g^((p-1)/2) = (g|p) = +-1, and -1 is both the
+    # q = 2 order test and the heuristic's filter
+    keep = _pow_mod(gp.copy(), p >> 1, p) == p - 1
+    p, key, gp = p[keep], key[keep], gp[keep]
+    idx, q, phi = factor_predecessors(p, base_primes)
+    odd = q != 2
+    idx, q = idx[odd], q[odd]
+    p_pair = p[idx]
+    ones = _pow_mod(gp[idx], (p_pair - 1) // q, p_pair) == 1
+    full_order = np.bincount(idx[ones], minlength=len(p)) == 0
+    hits = _by_class(key[full_order], lo, f)
+    keep = np.gcd(p - 1, h) == 1
+    pm1, phi, key = p[keep] - 1, phi[keep].astype(np.int64), key[keep]
+    # floor(phi * 2^96 / (p-1)) by long division in base-2^24 digits: the
+    # remainder stays below p - 1 < 2^27, so each shifted remainder fits
+    # int64; a digit is below 2^24 and a segment holds fewer than 2^27
+    # primes, so every float64 bincount sum of digits is below 2^53, exact
+    nz = np.flatnonzero(np.bincount(key))
+    sums = [0] * len(nz)
+    for _ in range(_HEUR_BITS // _DIGIT_BITS):
+        phi <<= _DIGIT_BITS
+        digits = np.bincount(key, phi // pm1)[nz].astype(np.int64).tolist()
+        sums = [(s << _DIGIT_BITS) + d for s, d in zip(sums, digits)]
+        phi %= pm1
+    heur = dict(zip(_classes(nz, lo, f), sums))
     return total, in_class, hits, heur
 
 
@@ -156,19 +225,25 @@ def scan(
         for lo in range(2, x + 1, config.segment_size)
     ]
     jobs = [(g, f, lo, hi, base_primes, base.h) for lo, hi in bounds]
-    if config.workers <= 1 or len(jobs) == 1:
-        partials = [_scan_segment(job) for job in jobs]
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            partials = list(pool.map(_scan_segment, jobs))
-    residues = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
     total = 0
     in_class, hits, heur = Counter(), Counter(), Counter()
-    for seg_total, seg_in_class, seg_hits, seg_heur in partials:
-        total += seg_total
-        in_class.update(seg_in_class)
-        hits.update(seg_hits)
-        heur.update(seg_heur)
+
+    def merge(partials) -> None:
+        nonlocal total
+        for seg_total, seg_in_class, seg_hits, seg_heur in partials:
+            total += seg_total
+            in_class.update(seg_in_class)
+            hits.update(seg_hits)
+            heur.update(seg_heur)
+
+    if config.workers <= 1 or len(jobs) == 1:
+        merge(map(_scan_segment, jobs))
+    else:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+            merge(pool.map(_scan_segment, jobs))
+    residues = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
     li_x = li(x)
     return {
         a: EmpiricalCount(

@@ -1,7 +1,9 @@
-"""Sieve-built prime lists and multiplicative-function tables.
+"""Sieve-built prime lists, p - 1 factorizations and multiplicative-function
+tables.
 
-The scanning harness sieves [2, x] in cache-sized segments; the series
-evaluator wants Moebius and totient values for every index up to its
+The scanning harness sieves [2, x] in cache-sized segments, then sieves the
+same window shifted by one to factor p - 1 for the primes it found; the
+series evaluator wants Moebius and totient values for every index up to its
 truncation point.  Tables are cached per limit and must be treated as
 read-only by callers.
 """
@@ -26,18 +28,88 @@ def prime_sieve(limit: int) -> np.ndarray:
     return np.flatnonzero(flags).astype(np.int64)
 
 
-def segment_primes(lo: int, hi: int, base_primes: list[int]) -> list[int]:
-    """Primes in [lo, hi); base_primes must cover sqrt(hi - 1)."""
+def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
+    """Primes in [lo, hi) as an int64 array; base_primes must cover
+    sqrt(hi - 1)."""
     lo = max(lo, 2)
     if hi <= lo:
-        return []
+        return np.zeros(0, dtype=np.int64)
     flags = np.ones(hi - lo, dtype=bool)
     for p in base_primes:
         if p * p >= hi:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
         flags[start - lo :: p] = False
-    return (np.flatnonzero(flags) + lo).tolist()
+    primes = np.flatnonzero(flags)
+    primes += lo
+    return primes
+
+
+def factor_predecessors(
+    ns: np.ndarray, base_primes: list[int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct prime factors of n - 1 and phi(n - 1) for every n in ns.
+
+    ns is a sorted int64 array of distinct odd integers from 3 to 2**31,
+    and base_primes must cover sqrt(max(ns) - 1).  Sieving finds each
+    prime q up to that root with q | n - 1, and dividing out its powers
+    leaves of n - 1 a part with no prime factor up to its square root: 1
+    or a single prime, which joins the pairs.  Returns int32 arrays
+    (idx, q, phi): prime q divides ns[idx] - 1, each distinct q once per n,
+    and phi[i] = phi(ns[i] - 1).  Every value divides some n - 1 < 2**31,
+    so int32 holds it.
+    """
+    m = (ns - 1).astype(np.int32)
+    idx, q = _sieve_divisors(ns, base_primes)
+    q_power = _prime_powers(m[idx], q)
+    smooth = np.ones(len(ns), dtype=np.int32)
+    np.multiply.at(smooth, idx, q_power)
+    rest = m // smooth
+    big = np.flatnonzero(rest > 1).astype(np.int32)
+    idx = np.concatenate([idx, big])
+    q = np.concatenate([q, rest[big]])
+    q_power = np.concatenate([q_power, rest[big]])
+    phi = np.ones(len(ns), dtype=np.int32)
+    np.multiply.at(phi, idx, q_power - q_power // q)
+    return idx, q, phi
+
+
+def _sieve_divisors(
+    ns: np.ndarray, base_primes: list[int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pairs (idx, q) of the primes q <= sqrt(max(ns) - 1) dividing
+    ns[idx] - 1, for sorted odd ns: 2 divides every n - 1, and each odd q
+    strides over the odd numbers from ns[0] to ns[-1], visiting the
+    positions of ns only."""
+    n = len(ns)
+    if not n:
+        return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
+    lo, top = int(ns[0]), int(ns[-1]) - 1
+    # where[t] is the index in ns of n = lo + 2t, or -1
+    half = (ns - lo) >> 1
+    where = np.full(int(half[-1]) + 1, -1, dtype=np.int32)
+    where[half] = np.arange(n, dtype=np.int32)
+    parts, used = [np.arange(n, dtype=np.int32)], [2]
+    for q in base_primes:
+        if q * q > top:
+            break
+        if q > 2:
+            # q | n - 1 for n = lo + 2t iff t = (1 - lo) / 2 (mod q)
+            hit = where[(1 - lo) // 2 % q :: q]
+            parts.append(hit[hit >= 0])
+            used.append(q)
+    q = np.repeat(np.array(used, dtype=np.int32), [len(part) for part in parts])
+    return np.concatenate(parts), q
+
+
+def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The largest power of the prime q dividing m, elementwise (q | m)."""
+    q_power = q.copy()
+    deeper = np.flatnonzero(m % (q * q) == 0)
+    while deeper.size:
+        q_power[deeper] *= q[deeper]
+        deeper = deeper[m[deeper] // q_power[deeper] % q[deeper] == 0]
+    return q_power
 
 
 @lru_cache(maxsize=8)

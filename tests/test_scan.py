@@ -3,17 +3,33 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import mpmath
+import numpy as np
 import pytest
 import sympy
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import rootdensity
-from rootdensity.arith import euler_phi, kronecker
-from rootdensity.density import InvalidBaseError, Progression, delta_closed
-from rootdensity.scan import ScanConfig, is_primitive_root, li, scan
+from rootdensity.arith import euler_phi, factor, kronecker
+from rootdensity.density import InvalidBaseError, Progression, delta_closed, make_base
+from rootdensity.scan import (
+    X_CAP,
+    EmpiricalCount,
+    ScanConfig,
+    _mod_primes,
+    _pow_mod,
+    _scan_segment,
+    is_primitive_root,
+    li,
+    scan,
+)
+from rootdensity.sieves import factor_predecessors, prime_sieve, segment_primes
 
 from conftest import brute_order, residues
 
@@ -131,6 +147,126 @@ class TestScan:
         rng = random.Random(13)
         for p in rng.sample(hit_primes, min(100, len(hit_primes))):
             assert brute_order(g, p) == p - 1
+
+
+# bases with h > 1 (27, 21^7), g outside int64 (2^63), a huge |delta|
+# (-223092870 = -2*3*5*...*23); x reaches every prime dividing them and
+# spans two default-size segments
+GRID_BASES = (2, -3, -6, 27, 21**7, -223092870, 2**63, -(2**63))
+GRID_MODULI = (1, 4, 5, 7, 12, 840)
+GRID_X = 70_000
+
+
+def _scalar_terms(g: int, primes) -> list[tuple[int, bool, int]]:
+    """(p, g is a primitive root mod p, heuristic term in units of 2^-96)
+    for each prime p not dividing 2g, by the scalar oracles."""
+    h = make_base(g).h
+    out = []
+    for p in primes:
+        if p == 2 or g % p == 0:
+            out.append((p, False, 0))
+            continue
+        term = 0
+        if math.gcd(p - 1, h) == 1 and kronecker(g, p) == -1:
+            term = (euler_phi(p - 1) << 96) // (p - 1)
+        out.append((p, is_primitive_root(g, p), term))
+    return out
+
+
+def _scalar_classes(terms, f: int) -> tuple[Counter, Counter, Counter]:
+    in_class, hits, heur = Counter(), Counter(), Counter()
+    for p, hit, term in terms:
+        cls = p % f or f
+        if math.gcd(cls, f) == 1:
+            in_class[cls] += 1
+            hits[cls] += hit
+            heur[cls] += term
+    return +in_class, +hits, +heur
+
+
+@lru_cache(maxsize=None)
+def _grid_terms(g: int) -> list[tuple[int, bool, int]]:
+    return _scalar_terms(g, list(sympy.primerange(2, GRID_X + 1)))
+
+
+class TestAgainstScalarOracle:
+    """scan() bit for bit against a per-prime loop over is_primitive_root,
+    kronecker and euler_phi, with the exact integer heuristic sum."""
+
+    @pytest.mark.parametrize("g", GRID_BASES)
+    def test_grid(self, g):
+        terms = _grid_terms(g)
+        li_x = li(GRID_X)
+        for f in GRID_MODULI:
+            in_class, hits, heur = _scalar_classes(terms, f)
+            want = {
+                a: EmpiricalCount(GRID_X, len(terms), in_class[a], hits[a],
+                                  2.0 * (heur[a] / 2**96), li_x)
+                for a in residues(f)
+            }
+            for size in (4096, 10007, ScanConfig().segment_size):
+                for workers in (1, 2):
+                    cfg = ScanConfig(segment_size=size, workers=workers)
+                    assert scan(g, f, GRID_X, cfg) == want, (f, cfg)
+
+    def test_segment_ending_at_cap(self):
+        # every residue and every product of two stays below 2^63
+        assert X_CAP**2 < 2**63
+        base_primes = prime_sieve(math.isqrt(X_CAP)).tolist()
+        lo, hi = X_CAP - 4000, X_CAP + 1
+        primes = list(sympy.primerange(lo, hi))
+        for g in (2, -3, 21**7, 2**63):
+            terms = _scalar_terms(g, primes)
+            for f in (1, 12):
+                got = _scan_segment((g, f, lo, hi, base_primes, make_base(g).h))
+                assert got == (len(primes), *_scalar_classes(terms, f)), (g, f)
+
+
+class TestArrayKernels:
+    """The scan's array steps against the scalar functions they replace."""
+
+    @given(st.lists(st.tuples(st.integers(2, X_CAP), st.integers(0, X_CAP),
+                              st.integers(0, 2**27)), min_size=1, max_size=40))
+    @example([(99999989, 99999988, 99999988), (99999989, 99999987, 2**27 - 1),
+              (99999971, 0, 0), (2, 1, 1)])
+    @settings(max_examples=200, deadline=None)
+    def test_pow_mod_against_pow(self, rows):
+        mod = np.array([m for m, _, _ in rows], dtype=np.int64)
+        base = np.array([b % m for m, b, _ in rows], dtype=np.int64)
+        exp = np.array([e for _, _, e in rows], dtype=np.int64)
+        want = [pow(int(b), int(e), int(m)) for m, b, e in zip(mod, base, exp)]
+        assert _pow_mod(base, exp, mod).tolist() == want
+
+    @given(st.integers(1, X_CAP // 2 - 1000),
+           st.lists(st.integers(0, 999), min_size=1, max_size=60, unique=True))
+    @example(1, [0])  # n = 3: n - 1 = 2 with no odd base prime
+    @example(X_CAP // 2 - 1000, [999, 998, 500, 0])  # n up to X_CAP - 1
+    @settings(max_examples=200, deadline=None)
+    def test_factor_predecessors_against_factor(self, start, offsets):
+        ns = sorted(2 * (start + o) + 1 for o in offsets)
+        base_primes = prime_sieve(math.isqrt(ns[-1] - 1)).tolist()
+        idx, q, phi = factor_predecessors(np.array(ns, dtype=np.int64), base_primes)
+        pairs = sorted(zip(idx.tolist(), q.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        want = sorted((i, r) for i, n in enumerate(ns) for r in factor(n - 1).primes())
+        assert pairs == want
+        assert phi.tolist() == [euler_phi(n - 1) for n in ns]
+
+    @given(st.integers(-(2**63), 2**63), st.integers(3, X_CAP - 3000))
+    @example(-(2**63), X_CAP - 3000)
+    @example(2**63, 3)
+    @example(-223092870, 3)
+    @settings(max_examples=100, deadline=None)
+    def test_euler_signs_against_kronecker(self, g, lo):
+        base_primes = prime_sieve(math.isqrt(lo + 3000)).tolist()
+        p = segment_primes(lo, lo + 3000, base_primes)
+        gp = _mod_primes(g, p)
+        assert gp.tolist() == [g % int(r) for r in p]
+        keep = gp != 0
+        p, gp = p[keep], gp[keep]
+        power = _pow_mod(gp, p >> 1, p)
+        sign = np.where(power == p - 1, -1, power)
+        assert sign.tolist() == [kronecker(g, int(r)) for r in p]
 
 
 class TestHeuristicSum:
