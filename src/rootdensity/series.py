@@ -8,6 +8,11 @@ intersection field at level n.  Degrees come from a closed-form lemma
 and c_a from one congruence plus one Kronecker symbol, so no field
 element is ever represented.  Truncation carries an explicit tail bound,
 making agreement with the closed form a machine-checkable statement.
+
+The O(N) pass is integer array work: each term mu(n) / D(n) enters as
+the exact integer mu(n) * floor(2^192 / D(n)), found by long division of
+the degree array, and the buckets' integer sums are rounded once, to 50
+digits, when a class assembles its partial sum.
 """
 
 from __future__ import annotations
@@ -26,12 +31,19 @@ from .sieves import mobius_table, phi_table
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
 
 _WORKING_PRECISION = 50  # digits carried by the partial sum
-_BLOCK = 1 << 16  # n per array pass of _bucket_sums, which bounds its memory
+_BLOCK = 1 << 15  # n per array pass of _bucket_sums: about 2 MB of arrays
+_UNIT_BITS = 192  # bucket sums are integers in units of 2^-192
+_DIGIT_BITS = 36  # widest long-division digit: 2^15 terms * 2^36 < 2^53
 
 
 @dataclass(frozen=True)
 class SeriesEstimate:
-    """A truncated partial sum with a bound on everything discarded."""
+    """A truncated partial sum with a bound on everything discarded.
+
+    partial_sum is the sum over n <= truncation_N to within
+    truncation_N * 2^-192 (each term is floored to a multiple of 2^-192)
+    plus half a unit in its 50th significant digit (one final rounding).
+    """
 
     partial_sum: Decimal
     truncation_N: int
@@ -85,65 +97,99 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
 @lru_cache(maxsize=256)
 def _bucket_sums(
     f: int, g: int, limit: int
-) -> tuple[tuple[tuple[int, bool], Decimal], ...]:
-    """Partial sums of mu(n)/degree over n <= limit, bucketed by the pair
-    (gcd(f, n), needs-quadratic-symbol).
+) -> tuple[tuple[tuple[int, bool], int], ...]:
+    """Partial sums of mu(n)/degree over n <= limit in units of 2^-192,
+    bucketed by the pair (gcd(f, n), needs-quadratic-symbol).
 
     Every class a mod f assembles its partial sum from at most 2*tau(f)
-    buckets, so the O(limit) pass is paid once per (f, g, limit).  Degrees and
-    keys are arrays over blocks of n (int64 when every intermediate fits, else
-    Python ints); each bucket adds its Decimal terms in ascending n.
+    buckets, so the O(limit) pass is paid once per (f, g, limit).  Each
+    term is mu(n) * floor(2^192 / degree), an exact integer, so a bucket's
+    sum is off from the true one by less than one unit per term and does
+    not depend on the order of the terms.  Degrees and keys are arrays
+    over blocks of n: int64 when every intermediate, and the degree times
+    2^b, fits, else Python ints.  The floor is taken by long division in
+    digits of b bits, and each digit is summed per bucket by a float64
+    bincount, which is exact as a block holds at most 2^15 terms and a
+    digit is at most 2^36, so every sum stays below 2^53.
     """
     base = make_base(g)
     abs_delta = abs(base.delta)
     mob = mobius_table(limit)
     phi = phi_table(limit)
     phi_f = euler_phi(f)
-    # r = f*n/d <= f*limit and degree <= limit * phi(f) * limit
-    dtype = np.int64 if max(f, phi_f * limit, abs_delta) * limit < 2**63 else object
-    sums: dict[tuple[int, bool], Decimal] = {}
-    with localcontext() as ctx:
-        ctx.prec = _WORKING_PRECISION
-        for lo in range(1, limit + 1, _BLOCK):
-            idx = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
-            n = idx.astype(dtype, copy=False)
-            d = np.gcd(n, f)
-            r = f * n // d
-            # phi(lcm(f, n)) = phi(f) phi(n) / phi(gcd(f, n))
-            phi_r = phi_f * (phi[idx] // phi[d.astype(np.int64)]).astype(dtype)
-            deg = _degree(n, np.gcd(n, base.h), phi_r, r, abs_delta)
-            special = _needs_symbol(n, r, abs_delta)
-            mu = mob[idx]
-            for dv in np.unique(d).tolist():
-                for sp in (False, True):
-                    mask = (d == dv) & (special == sp)
-                    if mask.any():
-                        terms = zip(mu[mask].tolist(), deg[mask].tolist())
-                        start = sums.get((dv, sp), Decimal(0))
-                        sums[(dv, sp)] = sum((Decimal(m) / k for m, k in terms), start)
+    # r = f*n/d <= f*limit and degree <= limit * phi(f) * limit, all < 2^62,
+    # so the int64 long division has digits of b >= 1 bits
+    fits64 = max(f, phi_f * limit, abs_delta) * limit < 2**62
+    dtype = np.int64 if fits64 else object
+    sums: dict[tuple[int, bool], int] = {}
+    for lo in range(1, limit + 1, _BLOCK):
+        idx = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
+        if not idx.size:
+            continue
+        n = idx.astype(dtype, copy=False)
+        d = np.gcd(n, f).astype(np.int64)
+        r = f * n // d
+        # phi(lcm(f, n)) = phi(f) phi(n) / phi(gcd(f, n))
+        phi_r = phi_f * (phi[idx] // phi[d]).astype(dtype)
+        deg = _degree(n, np.gcd(n, base.h), phi_r, r, abs_delta)
+        special = _needs_symbol(n, r, abs_delta).astype(bool)
+        # bucket key 2 * gcd(f, n) + needs-symbol, numbered 0.. per block
+        keys, key = np.unique(2 * d + special, return_inverse=True)
+        mu = mob[idx].astype(np.float64)
+        width = _DIGIT_BITS
+        if fits64:  # rem < deg, so rem << b stays below 2^63
+            width = min(width, 63 - int(deg.max()).bit_length())
+        block = [0] * len(keys)
+        rem = np.ones_like(deg)
+        shift = _UNIT_BITS
+        while shift:
+            b = min(width, shift)
+            shift -= b
+            rem <<= b
+            if fits64:
+                digit, rem = np.divmod(rem, deg)
+            else:  # np.divmod rejects object arrays
+                digit, rem = rem // deg, rem % deg
+            part = np.bincount(key, digit.astype(np.float64) * mu, len(keys))
+            block = [(s << b) + int(t) for s, t in zip(block, part.tolist())]
+        for k, s in zip(keys.tolist(), block):
+            bucket = (k >> 1, bool(k & 1))
+            sums[bucket] = sums.get(bucket, 0) + s
     return tuple(sorted(sums.items()))
 
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:
     """Truncated series value for the class density, with a tail bound.
 
-    The bound 2*sqrt(2)*h/sqrt(N) dominates the discarded terms via
-    degree >= n*phi(n)/(2h) and phi(n) >= sqrt(n/2); it is deliberately
-    loose, trading sharpness for an easy correctness argument.
+    The bound 2*sqrt(2)*h/sqrt(N) dominates the discarded terms.  Each
+    has |term| <= 1/degree, and degree >= n*phi(n) / (h * (1 + [n even]))
+    by the lemma in `_degree`.  An even squarefree n = 2m has m odd and
+    n*phi(n) = 2m*phi(m), and phi(k) >= sqrt(k) for every odd k, so
+
+        tail <= h * (sum_{odd k > N} k^(-3/2) + sum_{odd m > N/2} m^(-3/2)).
+
+    As x^(-3/2) is convex, k^(-3/2) <= (1/2) * integral of x^(-3/2) over
+    [k - 1, k + 1], so a sum over odd k >= K is at most 1/sqrt(K - 1).
+    The odd k > N start at K >= N + 1 and the odd m > N/2 at
+    K >= (N + 1)/2, so the tail is at most
+    h * (1/sqrt(N) + sqrt(2/(N - 1))) <= 2*sqrt(2)*h/sqrt(N) for N >= 3.
+    Directly: at N = 1 the tail is at most (1/sqrt(2) + 1 + 1/sqrt(2)) h
+    < 2.42h (m = 1 counted alone), and at N = 2 at most
+    (1/sqrt(2) + 1/sqrt(2)) h < 1.42h, both within the bound.  It is
+    deliberately loose, trading sharpness for an easy correctness argument.
     """
     if N < 1:
         raise ValueError(f"truncation point must be >= 1, got {N}")
     base = make_base(g)
     _, gamma = gamma_factor(prog.f, base)
     symbol_ok = kronecker(gamma, prog.a) == 1
+    units = sum(
+        s
+        for (d, special), s in _bucket_sums(prog.f, g, N)
+        if (prog.a - 1) % d == 0 and (symbol_ok or not special)
+    )
     with localcontext() as ctx:
         ctx.prec = _WORKING_PRECISION
-        total = Decimal(0)
-        for (d, special), s in _bucket_sums(prog.f, g, N):
-            if (prog.a - 1) % d:
-                continue
-            if special and not symbol_ok:
-                continue
-            total += s
+        total = Decimal(units) / Decimal(1 << _UNIT_BITS)
         tail = Decimal(8).sqrt() * base.h / Decimal(N).sqrt()
     return SeriesEstimate(partial_sum=total, truncation_N=N, tail_bound=tail)

@@ -4,8 +4,10 @@ tables.
 The scanning harness sieves [2, x] in cache-sized segments, then sieves the
 same window shifted by one to factor p - 1 for the primes it found; the
 series evaluator wants Moebius and totient values for every index up to its
-truncation point.  Tables are cached per limit and must be treated as
-read-only by callers.
+truncation point.  Both tables come from one sieve over the primes up to
+the square root of the limit, which leaves each index with at most one
+larger prime factor to apply.  They are cached together per limit and
+must be treated as read-only by callers.
 """
 
 from __future__ import annotations
@@ -113,19 +115,42 @@ def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def mobius_table(limit: int) -> np.ndarray:
-    """mu(n) for 0 <= n <= limit (index 0 is meaningless)."""
+def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
+    """mu(n) as int8 and phi(n) as int64 for 0 <= n <= limit, in one sieve.
+
+    Only the primes p <= sqrt(limit) stride over their multiples: each
+    flips the sign of mu, zeroes it on multiples of p^2, scales phi by
+    (p - 1)/p (exact: no smaller prime q has p | q - 1), and divides every
+    power of p out of rest.  What is left in rest is 1 or the single prime
+    factor P > sqrt(limit), which is applied the same way.  Every step
+    writes in place, so the transients are rest (4 bytes per n) and one
+    boolean mask.
+    """
     mu = np.ones(limit + 1, dtype=np.int8)
-    for p in prime_sieve(limit):
+    phi = np.arange(limit + 1, dtype=np.int64)
+    rest = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
+    for p in prime_sieve(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
-    return mu
+        phi[p::p] //= p
+        phi[p::p] *= p - 1
+        power = p
+        while power <= limit:
+            rest[power::power] //= p
+            power *= p
+    big = rest > 1
+    np.negative(mu, out=mu, where=big)
+    np.floor_divide(phi, rest, out=phi, where=big)
+    rest -= 1
+    np.multiply(phi, rest, out=phi, where=big)
+    return mu, phi
 
 
-@lru_cache(maxsize=8)
+def mobius_table(limit: int) -> np.ndarray:
+    """mu(n) for 0 <= n <= limit as int8 (index 0 is meaningless)."""
+    return _mu_phi(limit)[0]
+
+
 def phi_table(limit: int) -> np.ndarray:
-    """phi(n) for 0 <= n <= limit (index 0 is meaningless)."""
-    phi = np.arange(limit + 1, dtype=np.int64)
-    for p in prime_sieve(limit):
-        phi[p::p] -= phi[p::p] // p
-    return phi
+    """phi(n) for 0 <= n <= limit as int64 (index 0 is meaningless)."""
+    return _mu_phi(limit)[1]

@@ -2,6 +2,7 @@ import math
 from decimal import Decimal
 from fractions import Fraction
 
+import mpmath
 import pytest
 import sympy
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from rootdensity.arith import euler_phi, is_fundamental_discriminant, kronecker
 from rootdensity.density import (
     ARTIN_CONSTANT,
+    ARTIN_CONSTANT_30_DIGITS,
     DensityValue,
     InvalidBaseError,
     Progression,
@@ -247,7 +249,53 @@ class TestDeltaClosed:
         assert float(DensityValue(c1)) < 1
 
 
+def _artin_constant_mpmath(dps: int) -> mpmath.mpf:
+    """A at dps digits from log A = -sum_{n>=2} (L_n - 1) P(n)/n (L_n the
+    Lucas numbers, P the prime zeta function).  The primes below 200 are
+    multiplied in directly and taken out of P(n), so the terms fall like
+    (golden ratio / 211)^n instead of (golden ratio / 2)^n."""
+    small = list(sympy.primerange(2, 200))
+    with mpmath.workdps(dps + 10):
+        log_a = mpmath.fsum(mpmath.log(1 - mpmath.mpf(1) / (p * (p - 1))) for p in small)
+        lucas = [2, 1]
+        for n in range(2, 10**4):
+            lucas.append(lucas[-1] + lucas[-2])
+            tail = mpmath.primezeta(n) - mpmath.fsum(mpmath.mpf(p) ** -n for p in small)
+            term = (lucas[n] - 1) * tail / n
+            log_a -= term
+            if term < mpmath.mpf(10) ** -(dps + 5):
+                break
+        return +mpmath.exp(log_a)
+
+
+@pytest.fixture(scope="module")
+def artin_100():
+    return _artin_constant_mpmath(100)
+
+
 class TestDensityValue:
+    def test_artin_constant_to_70_places(self, artin_100):
+        with mpmath.workdps(110):
+            stored = mpmath.mpf(ARTIN_CONSTANT.numerator) / ARTIN_CONSTANT.denominator
+            assert 0 <= artin_100 - stored < mpmath.mpf(10) ** -70
+            assert ARTIN_CONSTANT_30_DIGITS == "0." + str(int(artin_100 * 10**30))
+
+    def test_numeric_30_against_mpmath(self, artin_100):
+        # the grid holds g = 3, class 1 mod 5, whose 30th digit needs A past 30 places
+        coefficients = {Fraction(1), Fraction(1, 7), Fraction(7, 82), Fraction(1, 10**9)}
+        for g in (2, 3, -3, 5, 6, 21, -15):
+            for f in (1, 4, 5, 8, 21, 28):
+                for a in residues(f):
+                    coefficients.add(delta_closed(Progression(a, f), g).coefficient)
+        coefficients.discard(Fraction(0))
+        with mpmath.workdps(110):
+            for c in coefficients:
+                value = artin_100 * c.numerator / c.denominator
+                exponent = int(mpmath.floor(mpmath.log10(value)))
+                digits = int(mpmath.floor(value * mpmath.mpf(10) ** (29 - exponent)))
+                expected = Decimal(f"{digits}e{exponent - 29}")
+                assert DensityValue(c).numeric(30) == expected, c
+
     def test_numeric_truncates(self):
         dv = DensityValue(Fraction(1))
         assert str(dv.numeric(12)) == "0.373955813619"

@@ -1,5 +1,5 @@
 import math
-from decimal import Decimal, localcontext
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -107,16 +107,31 @@ class TestSeriesTruncated:
         # beyond int64: phi(f) * N**2 for f = 2**50, and |delta| = 4 * (2**62 + 1)
         cases += [(2, Progression(a, 2**50), 500) for a in (1, 3, 2**49 + 1, 2**50 - 1)]
         cases += [(-(2**62 + 1), Progression(a, 8), 500) for a in residues(8)]
+        # a 62-bit degree at n = 61 for f = 2**51: int64 with 1-bit digits;
+        # a 63-bit one for f = 2**52, which no int64 digit can take
+        cases += [
+            (2, Progression(a, f), 61) for f in (2**51, 2**52) for a in (1, 3, f // 2 + 1)
+        ]
         for g, prog, N in cases:
             est = series_truncated(prog, g, N=N)
             exact = _naive_partial_sum(prog, g, N)
-            with localcontext() as ctx:
-                ctx.prec = 60
-                reference = Decimal(exact.numerator) / Decimal(exact.denominator)
-                assert abs(est.partial_sum - reference) < Decimal("1e-45")
+            # N terms floored to units of 2^-192, then one rounding to 50 digits
+            half_unit = Fraction(1, 2) * Fraction(10) ** (est.partial_sum.adjusted() - 49)
+            bound = Fraction(N, 2**192) + half_unit
+            assert abs(Fraction(est.partial_sum) - exact) <= bound, (g, prog, N)
+
+    def test_unit_degree_gives_full_first_digit(self):
+        # deg(1) = phi(f) = 1 for f = 1: the long division's first digit is 2^b
+        assert series._bucket_sums(1, 2, 1) == (((1, False), 1 << 192),)
+        assert series_truncated(Progression(1, 1), 2, N=1).partial_sum == 1
+
+    def test_last_block_without_squarefree_n(self):
+        # 327681 = 5 * 2^16 + 1 = 9 * 36409 alone in the last block
+        assert mobius(327681) == 0
+        assert series._bucket_sums(12, 5, 327681) == series._bucket_sums(12, 5, 327680)
 
     def test_blocks_leave_bucket_sums_unchanged(self, monkeypatch):
-        # each bucket must add its terms in ascending n across block edges
+        # the integer bucket sums must not depend on where the blocks end
         cases = [(1, 2, 3000), (28, 2, 3000), (24, -15, 3000), (2**50, 2, 500)]
         whole = [series._bucket_sums(*case) for case in cases]
         series._bucket_sums.cache_clear()
