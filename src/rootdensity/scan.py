@@ -17,9 +17,8 @@ Each segment is array work, with no loop over its primes:
 - One square-and-multiply over all pairs (p, q) with q odd decides
   g^((p-1)/q) != 1.  It runs in int64: residues are below p <= X_CAP =
   10^8 < 2^27, so the product of two is below 2^54 and never wraps.
-- Per-class counts come from np.bincount.  The heuristic terms
-  floor(phi(p-1) * 2^96 / (p-1)) are summed as four 24-bit digits by a
-  float64 bincount, which is exact while every sum stays below 2^53.
+- Per-class counts come from np.bincount, and `sieves.floor_sums` adds
+  the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
 
 Segments are independent, merged in position order and summed exactly,
 so the result is identical for any worker count and segment size.
@@ -35,7 +34,7 @@ import numpy as np
 
 from .arith import factor, is_prime
 from .density import make_base
-from .sieves import factor_predecessors, prime_sieve, segment_primes
+from .sieves import factor_predecessors, floor_sums, prime_sieve, segment_primes
 
 __all__ = [
     "EmpiricalCount",
@@ -51,7 +50,6 @@ X_CAP = 10**8  # desk scale; keeps p**2 < 2**63 for the int64 order tests
 # once, so no split of the primes into segments can change it; flooring
 # X_CAP terms loses under 2**-69.
 _HEUR_BITS = 96
-_DIGIT_BITS = 24  # _HEUR_BITS is summed in four digits of this width
 
 _EULER_GAMMA = 0.5772156649015329
 _LI_2 = 1.0451637801174928  # li(2), the offset of the integral taken from 2
@@ -189,18 +187,8 @@ def _scan_segment(args: tuple) -> tuple:
     full_order = np.bincount(idx[ones], minlength=len(p)) == 0
     hits = _by_class(key[full_order], lo, f)
     keep = np.gcd(p - 1, h) == 1
-    pm1, phi, key = p[keep] - 1, phi[keep].astype(np.int64), key[keep]
-    # floor(phi * 2^96 / (p-1)) by long division in base-2^24 digits: the
-    # remainder stays below p - 1 < 2^27, so each shifted remainder fits
-    # int64; a digit is below 2^24 and a segment holds fewer than 2^27
-    # primes, so every float64 bincount sum of digits is below 2^53, exact
-    nz = np.flatnonzero(np.bincount(key))
-    sums = [0] * len(nz)
-    for _ in range(_HEUR_BITS // _DIGIT_BITS):
-        phi <<= _DIGIT_BITS
-        digits = np.bincount(key, phi // pm1)[nz].astype(np.int64).tolist()
-        sums = [(s << _DIGIT_BITS) + d for s, d in zip(sums, digits)]
-        phi %= pm1
+    # phi(p - 1) < p - 1, as floor_sums asks of an array numerator
+    nz, sums = floor_sums(key[keep], phi[keep], p[keep] - 1, _HEUR_BITS)
     heur = dict(zip(_classes(nz, lo, f), sums))
     return total, in_class, hits, heur
 
@@ -215,10 +203,8 @@ def scan(
     Classes not coprime to f are not reported.
     """
     base = make_base(g)
-    if f < 1:
-        raise ValueError(f"modulus must be positive, got {f}")
-    if not 2 <= x <= X_CAP:
-        raise ValueError(f"need 2 <= x <= {X_CAP}, got {x}")
+    if not (1 <= f <= X_CAP and 2 <= x <= X_CAP):
+        raise ValueError(f"need 1 <= f <= {X_CAP} and 2 <= x <= {X_CAP}, got f={f}, x={x}")
     base_primes = prime_sieve(math.isqrt(x)).tolist()
     bounds = [
         (lo, min(lo + config.segment_size, x + 1))

@@ -9,10 +9,10 @@ and c_a from one congruence plus one Kronecker symbol, so no field
 element is ever represented.  Truncation carries an explicit tail bound,
 making agreement with the closed form a machine-checkable statement.
 
-The O(N) pass is integer array work: each term mu(n) / D(n) enters as
-the exact integer mu(n) * floor(2^192 / D(n)), found by long division of
-the degree array, and the buckets' integer sums are rounded once, to 50
-digits, when a class assembles its partial sum.
+The O(N) pass is int64 array work: each term mu(n) / D(n) enters as the
+exact integer mu(n) * floor(2^192 / D(n)), summed per bucket by
+`sieves.floor_sums`, and the buckets' integer sums are rounded once, to
+50 digits, when a class assembles its partial sum.
 """
 
 from __future__ import annotations
@@ -24,16 +24,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from .arith import euler_phi, is_squarefree, kronecker
+from .arith import euler_phi, factor, is_squarefree, kronecker
 from .density import Base, Progression, gamma_factor, make_base
-from .sieves import mobius_table, phi_table
+from .sieves import floor_sums, mobius_table, phi_table
 
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
 
 _WORKING_PRECISION = 50  # digits carried by the partial sum
 _BLOCK = 1 << 15  # n per array pass of _bucket_sums: about 2 MB of arrays
 _UNIT_BITS = 192  # bucket sums are integers in units of 2^-192
-_DIGIT_BITS = 36  # widest long-division digit: 2^15 terms * 2^36 < 2^53
 
 
 @dataclass(frozen=True)
@@ -50,20 +49,20 @@ class SeriesEstimate:
     tail_bound: Decimal
 
 
-def _degree(n, gcd_nh, phi_r, r, abs_delta):
+def _degree(n, gcd_nh, phi_r, splits):
     """The degree lemma, elementwise over ints or integer arrays: for
-    squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly, as h is
-    odd) when n is even and the discriminant divides r, since the square
-    root of g1 then already lies in the r-th cyclotomic field."""
-    halve = (n % 2 == 0) & (r % abs_delta == 0)
+    squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly for any
+    phi_r, as h is odd) when n is even and the discriminant divides r
+    (splits): the square root of g1 then lies in the r-th cyclotomic field."""
+    halve = (n % 2 == 0) & splits
     return n // gcd_nh * phi_r // (1 + halve)
 
 
-def _needs_symbol(n, r, abs_delta):
+def _needs_symbol(n, abs_delta, splits):
     """The quadratic-symbol condition, elementwise: with r = lcm(f, n), the
     intersection field picks up a square root iff n is even and the
-    discriminant divides r but not n."""
-    return (n % 2 == 0) & (n % abs_delta != 0) & (r % abs_delta == 0)
+    discriminant divides r (splits) but not n."""
+    return (n % 2 == 0) & (n % abs_delta != 0) & splits
 
 
 def degree_nkr(k: int, r: int, base: Base) -> int:
@@ -73,7 +72,7 @@ def degree_nkr(k: int, r: int, base: Base) -> int:
         raise ValueError(f"need k | r, got k={k}, r={r}")
     if not is_squarefree(k):
         raise ValueError(f"k must be squarefree, got {k}")
-    return _degree(k, math.gcd(k, base.h), euler_phi(r), r, abs(base.delta))
+    return _degree(k, math.gcd(k, base.h), euler_phi(r), r % abs(base.delta) == 0)
 
 
 def c_a(n: int, prog: Progression, base: Base) -> int:
@@ -87,7 +86,7 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
     d = math.gcd(prog.f, n)
     if (prog.a - 1) % d:
         return 0
-    if _needs_symbol(n, prog.f * n // d, abs(base.delta)):
+    if _needs_symbol(n, abs(base.delta), prog.f * n // d % abs(base.delta) == 0):
         _, gamma = gamma_factor(prog.f, base)
         if kronecker(gamma, prog.a) != 1:
             return 0
@@ -105,57 +104,35 @@ def _bucket_sums(
     buckets, so the O(limit) pass is paid once per (f, g, limit).  Each
     term is mu(n) * floor(2^192 / degree), an exact integer, so a bucket's
     sum is off from the true one by less than one unit per term and does
-    not depend on the order of the terms.  Degrees and keys are arrays
-    over blocks of n: int64 when every intermediate, and the degree times
-    2^b, fits, else Python ints.  The floor is taken by long division in
-    digits of b bits, and each digit is summed per bucket by a float64
-    bincount, which is exact as a block holds at most 2^15 terms and a
-    digit is at most 2^36, so every sum stays below 2^53.
+    not depend on the order of the terms.
+
+    Every array is int64 for any f and g.  With d = gcd(f, n) = gcd(rad f,
+    n) and r = lcm(f, n) = f * (n / d), the degree is phi(f) * deg', deg'
+    the lemma at phi(n) / phi(d), so deg' <= limit^2 and the floor is
+    floor(floor(2^192 / phi(f)) / deg').  The discriminant divides r iff
+    |delta| / gcd(|delta|, f) divides n / d; both clamp to limit + 1.
     """
     base = make_base(g)
-    abs_delta = abs(base.delta)
     mob = mobius_table(limit)
     phi = phi_table(limit)
-    phi_f = euler_phi(f)
-    # r = f*n/d <= f*limit and degree <= limit * phi(f) * limit, all < 2^62,
-    # so the int64 long division has digits of b >= 1 bits
-    fits64 = max(f, phi_f * limit, abs_delta) * limit < 2**62
-    dtype = np.int64 if fits64 else object
-    sums: dict[tuple[int, bool], int] = {}
+    rad = math.prod(factor(f).primes())
+    abs_delta = abs(base.delta)
+    co_delta = min(abs_delta // math.gcd(abs_delta, f), limit + 1)
+    abs_delta = min(abs_delta, limit + 1)
+    top = (1 << _UNIT_BITS) // euler_phi(f)
+    sums: dict[int, int] = {}  # by bucket key
     for lo in range(1, limit + 1, _BLOCK):
-        idx = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
-        if not idx.size:
-            continue
-        n = idx.astype(dtype, copy=False)
-        d = np.gcd(n, f).astype(np.int64)
-        r = f * n // d
-        # phi(lcm(f, n)) = phi(f) phi(n) / phi(gcd(f, n))
-        phi_r = phi_f * (phi[idx] // phi[d]).astype(dtype)
-        deg = _degree(n, np.gcd(n, base.h), phi_r, r, abs_delta)
-        special = _needs_symbol(n, r, abs_delta).astype(bool)
+        n = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
+        d = np.gcd(n, rad)
+        splits = n // d % co_delta == 0
+        deg = _degree(n, np.gcd(n, base.h), phi[n] // phi[d], splits)
+        special = _needs_symbol(n, abs_delta, splits)
         # bucket key 2 * gcd(f, n) + needs-symbol, numbered 0.. per block
         keys, key = np.unique(2 * d + special, return_inverse=True)
-        mu = mob[idx].astype(np.float64)
-        width = _DIGIT_BITS
-        if fits64:  # rem < deg, so rem << b stays below 2^63
-            width = min(width, 63 - int(deg.max()).bit_length())
-        block = [0] * len(keys)
-        rem = np.ones_like(deg)
-        shift = _UNIT_BITS
-        while shift:
-            b = min(width, shift)
-            shift -= b
-            rem <<= b
-            if fits64:
-                digit, rem = np.divmod(rem, deg)
-            else:  # np.divmod rejects object arrays
-                digit, rem = rem // deg, rem % deg
-            part = np.bincount(key, digit.astype(np.float64) * mu, len(keys))
-            block = [(s << b) + int(t) for s, t in zip(block, part.tolist())]
+        _, block = floor_sums(key, top, deg, 0, mob[n])
         for k, s in zip(keys.tolist(), block):
-            bucket = (k >> 1, bool(k & 1))
-            sums[bucket] = sums.get(bucket, 0) + s
-    return tuple(sorted(sums.items()))
+            sums[k] = sums.get(k, 0) + s
+    return tuple(((k >> 1, bool(k & 1)), s) for k, s in sorted(sums.items()))
 
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:

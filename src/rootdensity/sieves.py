@@ -1,5 +1,5 @@
-"""Sieve-built prime lists, p - 1 factorizations and multiplicative-function
-tables.
+"""Sieve-built prime lists, p - 1 factorizations, multiplicative-function
+tables, and exact per-key sums of floored quotients (`floor_sums`).
 
 The scanning harness sieves [2, x] in cache-sized segments, then sieves the
 same window shifted by one to factor p - 1 for the primes it found; the
@@ -112,6 +112,41 @@ def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:
         q_power[deeper] *= q[deeper]
         deeper = deeper[m[deeper] // q_power[deeper] % q[deeper] == 0]
     return q_power
+
+
+def floor_sums(
+    key: np.ndarray, num, den: np.ndarray, bits: int, weight=1
+) -> tuple[np.ndarray, list[int]]:
+    """Per key, the exact sum of weight * floor(num * 2^bits / den).
+
+    key >= 0, int64 den in [1, 2^62) and weight in {-1, 0, 1} (or the
+    scalar 1) are arrays of one length; num is an array below den, or one
+    Python int >= 0.  Returns the keys that occur, ascending, and their
+    sums as Python ints.  The long division runs in digits of
+    b = min(53 - bit_length(len(key)), 63 - bit_length(max den)) bits, so
+    a shifted remainder, below den * 2^b, fits int64, and a float64
+    bincount of len(key) weighted digits, each below 2^b, is exact.  The
+    Python loop runs over the keys that occur only.
+    """
+    if not len(key):
+        return np.zeros(0, dtype=np.int64), []
+    present = np.flatnonzero(np.bincount(key))
+    width = min(53 - len(key).bit_length(), 63 - int(den.max()).bit_length())
+    array = isinstance(num, np.ndarray)
+    rem = num.astype(np.int64) if array else np.zeros_like(den)
+    feed = 0 if array else num << bits
+    shift = max(bits, feed.bit_length())
+    sums = [0] * len(present)
+    while shift:
+        b = min(width, shift)
+        shift -= b
+        rem <<= b
+        rem += (feed >> shift) & ((1 << b) - 1)
+        digit, rem = np.divmod(rem, den)
+        digit *= weight
+        part = np.bincount(key, digit)[present].astype(np.int64).tolist()
+        sums = [(s << b) + t for s, t in zip(sums, part)]
+    return present, sums
 
 
 @lru_cache(maxsize=8)

@@ -1,6 +1,5 @@
 import math
 import random
-from fractions import Fraction
 
 import pytest
 import sympy
@@ -233,23 +232,3 @@ class TestFundamentalDiscriminant:
         for d in (0, 2, 3, -5, 4, 9, 16, -9, 25, 18):
             assert not is_fundamental_discriminant(d)
 
-
-class TestExactRational:
-    @given(
-        st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**9),
-        st.fractions(min_value=-10**9, max_value=10**9, max_denominator=10**9),
-    )
-    @settings(max_examples=500, deadline=None)
-    def test_add_sub_roundtrip(self, x, y):
-        assert (x + y) - y == x
-
-    def test_add_sub_roundtrip_bulk(self):
-        rng = random.Random(5)
-        for _ in range(10**4):
-            x = Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**9))
-            y = Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**9))
-            assert (x + y) - y == x
-
-    def test_canonical_form(self):
-        q = Fraction(42, -84)
-        assert q.numerator == -1 and q.denominator == 2

@@ -188,6 +188,13 @@ class TestScanCommand:
         _, out2, _ = run_cli(capsys, *args)
         assert out1 == out2
 
+    def test_oversized_modulus_rejected(self, capsys):
+        code, _, err = run_cli(
+            capsys, "scan", "-g", "2", "-f", str(2**63), "-x", "1000", "--threads", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+
 
 class TestHeuristicCommand:
     def test_runs_and_tracks_main_term(self, capsys):

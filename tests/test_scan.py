@@ -133,6 +133,9 @@ class TestScan:
             scan(2, 1, 1)
         with pytest.raises(ValueError):
             scan(2, 1, 10**8 + 1)
+        for f in (0, 10**8 + 1, 2**63):
+            with pytest.raises(ValueError):
+                scan(2, f, 1000)
 
     def test_sampled_hits_have_full_order(self):
         # reproduce the scan's hit set independently on a sample

@@ -3,6 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from rootdensity.arith import euler_phi, is_squarefree, mobius
 from rootdensity import series
@@ -13,7 +14,11 @@ from conftest import residues
 
 
 def _naive_partial_sum(prog: Progression, g: int, N: int) -> Fraction:
-    """Term-by-term series straight from the defining formula, exact."""
+    """Term-by-term series straight from the defining formula, exact.
+
+    The degree is the lemma of `degree_nkr` with phi(lcm(f, n)) from sympy,
+    as lcm(f, n) passes 2^63, the end of `factor`'s range, for f near 2^63.
+    """
     base = make_base(g)
     total = Fraction(0)
     for n in range(1, N + 1):
@@ -22,7 +27,10 @@ def _naive_partial_sum(prog: Progression, g: int, N: int) -> Fraction:
             continue
         if not c_a(n, prog, base):
             continue
-        total += Fraction(mu, degree_nkr(n, math.lcm(prog.f, n), base))
+        r = math.lcm(prog.f, n)
+        splits = r % abs(base.delta) == 0
+        deg = series._degree(n, math.gcd(n, base.h), int(sympy.totient(r)), splits)
+        total += Fraction(mu, deg)
     return total
 
 
@@ -104,14 +112,18 @@ class TestSeriesTruncated:
             for g, f in [(2, 1), (2, 8), (-3, 12), (8, 5), (21, 4)]
             for a in residues(f)
         ]
-        # beyond int64: phi(f) * N**2 for f = 2**50, and |delta| = 4 * (2**62 + 1)
+        # degrees phi(f) * n * phi(n) of 62 bits and more, and |delta| =
+        # 4 * (2**62 + 1): phi(f) and the clamped |delta| keep them in int64
         cases += [(2, Progression(a, 2**50), 500) for a in (1, 3, 2**49 + 1, 2**50 - 1)]
         cases += [(-(2**62 + 1), Progression(a, 8), 500) for a in residues(8)]
-        # a 62-bit degree at n = 61 for f = 2**51: int64 with 1-bit digits;
-        # a 63-bit one for f = 2**52, which no int64 digit can take
         cases += [
             (2, Progression(a, f), 61) for f in (2**51, 2**52) for a in (1, 3, f // 2 + 1)
         ]
+        # the largest f and |g| the API takes; 2**63 - 1 = 7^2*73*127*337*92737*649657
+        cases += [(2, Progression(a, 2**63), 60) for a in (1, 3, 2**62 + 1, 2**63 - 1)]
+        cases += [(2, Progression(a, 2**63 - 1), 60) for a in (1, 2, 3, 2**63 - 2)]
+        cases += [(g, Progression(a, 24), 200) for g in (2**63, -(2**63)) for a in residues(24)]
+        cases += [(-(2**63), Progression(a, 2**63), 60) for a in (1, 2**62 - 1)]
         for g, prog, N in cases:
             est = series_truncated(prog, g, N=N)
             exact = _naive_partial_sum(prog, g, N)

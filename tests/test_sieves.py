@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootdensity.arith import euler_phi, mobius
-from rootdensity.sieves import mobius_table, phi_table
+from rootdensity.sieves import floor_sums, mobius_table, phi_table
 
 _TOP = 2 * 10**4
 _PRIME_POWERS = sorted(
@@ -39,3 +39,58 @@ def test_tables_at_prime_power_limits(limit, reference):
     # limits that are primes, prime squares and prime powers: the largest
     # index is then its own leftover prime, or a power the sieve divides out
     _check(limit, reference)
+
+
+def _exact_floor_sums(key, num, den, bits, weight) -> dict[int, int]:
+    """sum(w * ((num << bits) // den)) per key, term by term in Python ints."""
+    sums: dict[int, int] = {}
+    for i, k in enumerate(key.tolist()):
+        n = num if isinstance(num, int) else int(num[i])
+        w = weight if isinstance(weight, int) else int(weight[i])
+        sums[k] = sums.get(k, 0) + w * ((n << bits) // int(den[i]))
+    return sums
+
+
+@st.composite
+def _floor_sum_inputs(draw):
+    """Sparse keys with gaps, den up to 62 bits (1-bit digits), numerators
+    either an array below den or one Python int up to 2^200, and weights
+    in {-1, 0, 1} or the scalar 1; arrays come from a seeded generator, so
+    lengths reach 2^15 cheaply."""
+    length = draw(st.integers(1, 2**15))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    key = rng.integers(0, draw(st.integers(1, 40)), length) * draw(st.integers(1, 1000))
+    den_bits = draw(st.integers(1, 62))
+    den = rng.integers(1, 1 << den_bits, length, dtype=np.int64)
+    den[0] = (1 << den_bits) - 1  # the widest den fixes the digit width
+    if draw(st.booleans()):
+        num = rng.integers(0, den, dtype=np.int64)
+    else:
+        num = draw(st.integers(0, 2**200))
+    weight = rng.integers(-1, 2, length).astype(np.int8) if draw(st.booleans()) else 1
+    return key, num, den, draw(st.integers(0, 200)), weight
+
+
+@given(_floor_sum_inputs())
+@settings(max_examples=150, deadline=None)
+def test_floor_sums_match_exact_division(inputs):
+    present, sums = floor_sums(*inputs)
+    exact = _exact_floor_sums(*inputs)
+    assert present.tolist() == sorted(exact)
+    assert sums == [exact[k] for k in sorted(exact)]
+
+
+def test_floor_sums_at_the_float64_limit():
+    # 2^15 - 1 terms on one key with den = 2^23 - 1: the float64 sums set
+    # the digit width, 38 bits, and (den - 1)/den = 0.(1^22 0) in binary
+    # puts every digit near 2^38, so each digit sum comes near 2^53
+    den = np.full(2**15 - 1, 2**23 - 1, dtype=np.int64)
+    inputs = (np.zeros(len(den), dtype=np.int64), den - 1, den, 96, 1)
+    present, sums = floor_sums(*inputs)
+    assert present.tolist() == [0] and sums == [_exact_floor_sums(*inputs)[0]]
+
+
+def test_floor_sums_of_empty_input():
+    empty = np.zeros(0, dtype=np.int64)
+    present, sums = floor_sums(empty, 1 << 192, empty, 0)
+    assert present.tolist() == [] and sums == []
