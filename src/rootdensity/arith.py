@@ -27,6 +27,7 @@ __all__ = [
 ]
 
 _FACTOR_CAP = 2**63
+_CACHE_SIZE = 1 << 16  # entries kept by each scalar-function cache
 _TRIAL_BOUND = 10**6
 
 # Deterministic Miller-Rabin witness set: the primes up to 41 decide every
@@ -99,8 +100,6 @@ def _rho_split(n: int) -> int:
     Brent's cycle-finding variant; the polynomial increment is bumped on the
     rare cycle that collapses to n itself.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 100):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y
@@ -142,7 +141,7 @@ def _large_prime_powers(m: int) -> dict[int, int]:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def factor(n: int) -> Factorization:
     """Factor 1 <= n <= 2**63 (trial division to 1e6, then a rho fallback)."""
     if n < 1 or n > _FACTOR_CAP:
@@ -158,14 +157,13 @@ def factor(n: int) -> Factorization:
     if m > 1:
         if m <= _TRIAL_BOUND * _TRIAL_BOUND:
             # trial division already reached sqrt(m), so m is prime
-            powers[m] = powers.get(m, 0) + 1
+            powers[m] = 1
         else:
-            for p, e in _large_prime_powers(m).items():
-                powers[p] = powers.get(p, 0) + e
+            powers.update(_large_prime_powers(m))
     return Factorization(value=n, factors=tuple(sorted(powers.items())))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def mobius(n: int) -> int:
     """0 on a squared factor, otherwise (-1)^(number of prime factors)."""
     fac = factor(n)
@@ -174,7 +172,7 @@ def mobius(n: int) -> int:
     return -1 if len(fac.factors) % 2 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def euler_phi(n: int) -> int:
     """Count of residues 1 <= k <= n coprime to n."""
     result = n

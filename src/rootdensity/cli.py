@@ -29,8 +29,9 @@ from .density import (
     delta_closed_v2,
     make_base,
 )
-from .scan import ScanConfig, scan
+from .scan import F_CAP, ScanConfig, scan
 from .series import series_truncated
+from .sieves import X_CAP
 
 RECORD_COLUMNS = ["g", "f", "a", "coefficient", "numeric", "method", "value", "error"]
 SCAN_COLUMNS = ["a", "primes_in_class", "hits", "observed", "predicted", "abs_error"]
@@ -38,6 +39,8 @@ CLASSIFY_COLUMNS = ["f", "is_wud", "family", "zero_residues"]
 
 
 def _residues(f: int) -> list[int]:
+    if not 1 <= f <= F_CAP:
+        raise ValueError(f"need 1 <= f <= {F_CAP} to list every class, got f={f}")
     return [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
 
 
@@ -104,6 +107,8 @@ def cmd_density(args) -> int:
 def cmd_verify(args) -> int:
     make_base(args.g)
     classes = _classes(args)
+    if not 1 <= args.N <= X_CAP:
+        raise ValueError(f"need 1 <= N <= {X_CAP}, got N={args.N}")
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
     rows = []
     failures = []
@@ -163,8 +168,7 @@ def cmd_classify(args) -> int:
 def cmd_scan(args) -> int:
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
     rows = []
-    for a in _residues(args.f):
-        count = counts[a]
+    for a, count in counts.items():
         predicted = float(delta_closed(Progression(a, args.f), args.g))
         observed = count.hits / count.primes_total
         rows.append({

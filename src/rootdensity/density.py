@@ -25,6 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import (
+    _CACHE_SIZE,
     _FACTOR_CAP,
     euler_phi,
     factor,
@@ -83,7 +84,7 @@ class Base:
     delta: int
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def make_base(g: int) -> Base:
     if abs(g) > _FACTOR_CAP:
         raise InvalidBaseError(f"base {g} rejected: |g| > 2**63 is too large to factor")
@@ -174,7 +175,7 @@ def w(k: int, f: int, h: int) -> int:
     return num // den
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _coeff_A_fixed(f: int, h: int) -> Fraction:
     # the class-independent part of the coefficient of A in the Euler factor
     c = Fraction(1)

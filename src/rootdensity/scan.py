@@ -16,7 +16,8 @@ Each segment is array work, with no loop over its primes:
   phi(p - 1).
 - One square-and-multiply over all pairs (p, q) with q odd decides
   g^((p-1)/q) != 1.  It runs in int64: residues are below p <= X_CAP =
-  10^8 < 2^27, so the product of two is below 2^54 and never wraps.
+  10^8 < 2^27 (`sieves.X_CAP`, which also bounds the series' N), so the
+  product of two is below 2^54 and never wraps.
 - Per-class counts come from np.bincount, and `sieves.floor_sums` adds
   the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
 
@@ -34,7 +35,7 @@ import numpy as np
 
 from .arith import factor, is_prime
 from .density import make_base
-from .sieves import factor_predecessors, floor_sums, prime_sieve, segment_primes
+from .sieves import X_CAP, factor_predecessors, floor_sums, prime_sieve, segment_primes
 
 __all__ = [
     "EmpiricalCount",
@@ -44,7 +45,7 @@ __all__ = [
     "scan",
 ]
 
-X_CAP = 10**8  # desk scale; keeps p**2 < 2**63 for the int64 order tests
+F_CAP = 10**6  # every class mod f gets an EmpiricalCount: about 100 MB at 10^6
 
 # The heuristic sum is kept in integer units of 2**-_HEUR_BITS and rounded
 # once, so no split of the primes into segments can change it; flooring
@@ -139,13 +140,11 @@ def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
 
 
 def _mod_primes(g: int, p: np.ndarray) -> np.ndarray:
-    """g mod p elementwise for |g| <= 2**63 and primes p < 2**31: the high
-    and low 32-bit halves of g are reduced apart, so g need not fit int64."""
-    high, low = divmod(g, 1 << 32)  # |high| <= 2**31, 0 <= low < 2**32
-    r = high % p
-    r *= (1 << 32) % p
-    r += low % p
-    r %= p
+    """g mod p elementwise for |g| <= 2**63 and primes p < 2**31: |g|
+    fits uint64, and the sign is applied to its remainder."""
+    r = (np.uint64(abs(g)) % p.view(np.uint64)).view(np.int64)
+    if g < 0:
+        np.subtract(p, r, out=r, where=r > 0)
     return r
 
 
@@ -203,8 +202,8 @@ def scan(
     Classes not coprime to f are not reported.
     """
     base = make_base(g)
-    if not (1 <= f <= X_CAP and 2 <= x <= X_CAP):
-        raise ValueError(f"need 1 <= f <= {X_CAP} and 2 <= x <= {X_CAP}, got f={f}, x={x}")
+    if not (1 <= f <= F_CAP and 2 <= x <= X_CAP):
+        raise ValueError(f"need 1 <= f <= {F_CAP} and 2 <= x <= {X_CAP}, got f={f}, x={x}")
     base_primes = prime_sieve(math.isqrt(x)).tolist()
     bounds = [
         (lo, min(lo + config.segment_size, x + 1))

@@ -75,22 +75,25 @@ def degree_nkr(k: int, r: int, base: Base) -> int:
     return _degree(k, math.gcd(k, base.h), euler_phi(r), r % abs(base.delta) == 0)
 
 
+def _survives(prog: Progression, base: Base, d: int, special: bool) -> bool:
+    """The class rule on the bucket (d, special) = (gcd(f, n),
+    needs-symbol) of a squarefree n: a = 1 (mod d) and, in the one
+    configuration where the intersection field picks up a square root
+    (`_needs_symbol`), additionally (gamma | a) = 1."""
+    if (prog.a - 1) % d:
+        return False
+    return not special or kronecker(gamma_factor(prog.f, base)[1], prog.a) == 1
+
+
 def c_a(n: int, prog: Progression, base: Base) -> int:
     """Indicator that class a mod f survives the level-n condition.
 
     Defined for squarefree n (callers drop the rest, where the series
-    weight vanishes anyway): 1 iff a = 1 (mod gcd(f, n)) and, in the one
-    configuration where the intersection field picks up a square root
-    (`_needs_symbol`), additionally (gamma | a) = 1.
+    weight vanishes anyway): the rule in `_survives` on the bucket of n.
     """
     d = math.gcd(prog.f, n)
-    if (prog.a - 1) % d:
-        return 0
-    if _needs_symbol(n, abs(base.delta), prog.f * n // d % abs(base.delta) == 0):
-        _, gamma = gamma_factor(prog.f, base)
-        if kronecker(gamma, prog.a) != 1:
-            return 0
-    return 1
+    special = _needs_symbol(n, abs(base.delta), prog.f * n // d % abs(base.delta) == 0)
+    return int(_survives(prog, base, d, special))
 
 
 @lru_cache(maxsize=256)
@@ -106,10 +109,10 @@ def _bucket_sums(
     sum is off from the true one by less than one unit per term and does
     not depend on the order of the terms.
 
-    Every array is int64 for any f and g.  With d = gcd(f, n) = gcd(rad f,
-    n) and r = lcm(f, n) = f * (n / d), the degree is phi(f) * deg', deg'
-    the lemma at phi(n) / phi(d), so deg' <= limit^2 and the floor is
-    floor(floor(2^192 / phi(f)) / deg').  The discriminant divides r iff
+    The degree array is int64 for any f and g.  With d = gcd(f, n) =
+    gcd(rad f, n) and r = lcm(f, n) = f * (n / d), the degree is
+    phi(f) * deg', deg' the lemma at phi(n) / phi(d), so deg' <= limit^2
+    and the floor is floor(floor(2^192 / phi(f)) / deg').  The discriminant divides r iff
     |delta| / gcd(|delta|, f) divides n / d; both clamp to limit + 1.
     """
     base = make_base(g)
@@ -136,7 +139,8 @@ def _bucket_sums(
 
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:
-    """Truncated series value for the class density, with a tail bound.
+    """Truncated series value for the class density, with a tail bound,
+    for 1 <= N <= `sieves.X_CAP`.
 
     The bound 2*sqrt(2)*h/sqrt(N) dominates the discarded terms.  Each
     has |term| <= 1/degree, and degree >= n*phi(n) / (h * (1 + [n even]))
@@ -158,12 +162,10 @@ def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstima
     if N < 1:
         raise ValueError(f"truncation point must be >= 1, got {N}")
     base = make_base(g)
-    _, gamma = gamma_factor(prog.f, base)
-    symbol_ok = kronecker(gamma, prog.a) == 1
     units = sum(
         s
         for (d, special), s in _bucket_sums(prog.f, g, N)
-        if (prog.a - 1) % d == 0 and (symbol_ok or not special)
+        if _survives(prog, base, d, special)
     )
     with localcontext() as ctx:
         ctx.prec = _WORKING_PRECISION

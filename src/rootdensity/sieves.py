@@ -8,6 +8,9 @@ truncation point.  Both tables come from one sieve over the primes up to
 the square root of the limit, which leaves each index with at most one
 larger prime factor to apply.  They are cached together per limit and
 must be treated as read-only by callers.
+
+`X_CAP` bounds both the scan's x and the series' N, so the Moebius table
+is int8 and the totient table int32.
 """
 
 from __future__ import annotations
@@ -17,17 +20,15 @@ from functools import lru_cache
 
 import numpy as np
 
+X_CAP = 10**8  # bounds x and N: p**2 < 2**63 in the scan, int32 tables
+
 
 def prime_sieve(limit: int) -> np.ndarray:
-    """All primes <= limit as an int64 array."""
-    if limit < 2:
-        return np.zeros(0, dtype=np.int64)
-    flags = np.ones(limit + 1, dtype=bool)
-    flags[:2] = False
-    for p in range(2, math.isqrt(limit) + 1):
-        if flags[p]:
-            flags[p * p :: p] = False
-    return np.flatnonzero(flags).astype(np.int64)
+    """All primes <= limit as an int64 array: `segment_primes` over
+    [2, limit], with the primes up to sqrt(limit) found the same way (no
+    base primes are needed below 4)."""
+    base_primes = prime_sieve(math.isqrt(limit)).tolist() if limit >= 4 else []
+    return segment_primes(2, limit + 1, base_primes)
 
 
 def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
@@ -151,7 +152,8 @@ def floor_sums(
 
 @lru_cache(maxsize=8)
 def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
-    """mu(n) as int8 and phi(n) as int64 for 0 <= n <= limit, in one sieve.
+    """mu(n) as int8 and phi(n) as int32 for 0 <= n <= limit <= X_CAP, in
+    one sieve.
 
     Only the primes p <= sqrt(limit) stride over their multiples: each
     flips the sign of mu, zeroes it on multiples of p^2, scales phi by
@@ -161,9 +163,11 @@ def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
     writes in place, so the transients are rest (4 bytes per n) and one
     boolean mask.
     """
+    if limit > X_CAP:
+        raise ValueError(f"need a table limit <= {X_CAP}, got {limit}")
     mu = np.ones(limit + 1, dtype=np.int8)
-    phi = np.arange(limit + 1, dtype=np.int64)
-    rest = np.arange(limit + 1, dtype=np.int32 if limit < 2**31 else np.int64)
+    phi = np.arange(limit + 1, dtype=np.int32)
+    rest = np.arange(limit + 1, dtype=np.int32)
     for p in prime_sieve(math.isqrt(limit)).tolist():
         mu[p::p] *= -1
         mu[p * p :: p * p] = 0
@@ -187,5 +191,5 @@ def mobius_table(limit: int) -> np.ndarray:
 
 
 def phi_table(limit: int) -> np.ndarray:
-    """phi(n) for 0 <= n <= limit as int64 (index 0 is meaningless)."""
+    """phi(n) for 0 <= n <= limit as int32 (index 0 is meaningless)."""
     return _mu_phi(limit)[1]

@@ -73,6 +73,18 @@ class TestDensityCommand:
         assert code == 2
         assert "too large" in err
 
+    def test_every_class_of_huge_modulus_rejected(self, capsys):
+        # listing the classes of f = 10^12 would take hours
+        code, _, err = run_cli(capsys, "density", "-g", "2", "-f", str(10**12))
+        assert code == 2
+        assert err.startswith("error:")
+
+    def test_single_class_of_huge_modulus(self, capsys):
+        code, out, _ = run_cli(capsys, "density", "-g", "2", "-f", str(10**12), "-a", "1",
+                               "--format", "csv")
+        assert code == 0
+        assert [r["a"] for r in parse_csv(out)] == ["1"]
+
     def test_digits_flag(self, capsys):
         _, out, _ = run_cli(capsys, "density", "-g", "2", "--digits", "30", "--format", "csv")
         assert parse_csv(out)[0]["numeric"] == "0.373955813619202288054728054346"
@@ -116,6 +128,17 @@ class TestVerifyCommand:
         code, _, err = run_cli(capsys, "verify", "-g", "2", "-f", "4", "-a", "2", "--threads", "1")
         assert code == 2
         assert "coprime" in err
+
+    def test_oversized_truncation_rejected_before_scan(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scan ran before N was validated")
+
+        monkeypatch.setattr(cli, "scan", no_scan)
+        code, _, err = run_cli(
+            capsys, "verify", "-g", "2", "-f", "4", "-N", str(10**8 + 1), "--threads", "1",
+        )
+        assert code == 2
+        assert err.startswith("error:")
 
     def test_coarse_truncation_still_passes(self, capsys):
         # N = 16 leaves a wide tail bound, which the check respects
@@ -189,11 +212,12 @@ class TestScanCommand:
         assert out1 == out2
 
     def test_oversized_modulus_rejected(self, capsys):
-        code, _, err = run_cli(
-            capsys, "scan", "-g", "2", "-f", str(2**63), "-x", "1000", "--threads", "1",
-        )
-        assert code == 2
-        assert err.startswith("error:")
+        for f in (10**6 + 1, 2**63):
+            code, _, err = run_cli(
+                capsys, "scan", "-g", "2", "-f", str(f), "-x", "1000", "--threads", "1",
+            )
+            assert code == 2
+            assert err.startswith("error:")
 
 
 class TestHeuristicCommand:

@@ -133,7 +133,7 @@ class TestScan:
             scan(2, 1, 1)
         with pytest.raises(ValueError):
             scan(2, 1, 10**8 + 1)
-        for f in (0, 10**8 + 1, 2**63):
+        for f in (0, 10**6 + 1, 10**8 + 1, 2**63):
             with pytest.raises(ValueError):
                 scan(2, f, 1000)
 

@@ -9,6 +9,7 @@ from rootdensity.arith import euler_phi, is_squarefree, mobius
 from rootdensity import series
 from rootdensity.density import Progression, delta_closed, make_base
 from rootdensity.series import SeriesEstimate, c_a, degree_nkr, series_truncated
+from rootdensity.sieves import X_CAP
 
 from conftest import residues
 
@@ -186,6 +187,10 @@ class TestSeriesTruncated:
     def test_rejects_nonpositive_truncation(self):
         with pytest.raises(ValueError):
             series_truncated(Progression(1, 1), 2, N=0)
+
+    def test_rejects_truncation_past_cap(self):
+        with pytest.raises(ValueError):
+            series_truncated(Progression(1, 1), 2, N=X_CAP + 1)
 
     def test_estimate_fields(self):
         est = series_truncated(Progression(1, 1), 2, N=100)

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootdensity.arith import euler_phi, mobius
-from rootdensity.sieves import floor_sums, mobius_table, phi_table
+from rootdensity.sieves import X_CAP, _mu_phi, floor_sums, mobius_table, phi_table, prime_sieve
 
 _TOP = 2 * 10**4
 _PRIME_POWERS = sorted(
@@ -22,7 +22,7 @@ def reference() -> tuple[np.ndarray, np.ndarray]:
 
 def _check(limit: int, reference) -> None:
     mu, phi = mobius_table(limit), phi_table(limit)
-    assert mu.dtype == np.int8 and phi.dtype == np.int64
+    assert mu.dtype == np.int8 and phi.dtype == np.int32
     assert len(mu) == len(phi) == limit + 1
     assert (mu[1:] == reference[0][:limit]).all()
     assert (phi[1:] == reference[1][:limit]).all()
@@ -39,6 +39,20 @@ def test_tables_at_prime_power_limits(limit, reference):
     # limits that are primes, prime squares and prime powers: the largest
     # index is then its own leftover prime, or a power the sieve divides out
     _check(limit, reference)
+
+
+def test_tables_stop_at_the_cap():
+    # raised before any table is allocated
+    with pytest.raises(ValueError):
+        _mu_phi(X_CAP + 1)
+
+
+def test_prime_sieve_against_sympy():
+    # 961 = 31^2 is a prime square, and 1024 = 32^2 lies past it
+    for limit in [*range(301), 961, 1024, 10**4 + 7]:
+        primes = prime_sieve(limit)
+        assert primes.dtype == np.int64
+        assert primes.tolist() == list(sympy.primerange(limit + 1)), limit
 
 
 def _exact_floor_sums(key, num, den, bits, weight) -> dict[int, int]:
