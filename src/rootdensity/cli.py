@@ -36,6 +36,8 @@ from .sieves import X_CAP
 RECORD_COLUMNS = ["g", "f", "a", "coefficient", "numeric", "method", "value", "error"]
 SCAN_COLUMNS = ["a", "primes_in_class", "hits", "observed", "predicted", "abs_error"]
 CLASSIFY_COLUMNS = ["f", "is_wud", "family", "zero_residues"]
+# classify walks every class of every f <= fmax: its work grows as fmax^2
+_FMAX_CAP = 1000
 
 
 def _residues(f: int) -> list[int]:
@@ -148,6 +150,8 @@ def cmd_verify(args) -> int:
 
 def cmd_classify(args) -> int:
     make_base(args.g)
+    if not 1 <= args.fmax <= _FMAX_CAP:
+        raise ValueError(f"need 1 <= fmax <= {_FMAX_CAP}, got fmax={args.fmax}")
     rows = []
     for f in range(1, args.fmax + 1):
         verdict = wud_set(args.g, f)

@@ -7,10 +7,16 @@ gcd(p-1, h) = 1 that heuristically tracks the same counts.
 
 Each segment is array work, with no loop over its primes:
 
-- Euler's criterion, g^((p-1)/2) = (g|p) (mod p) for odd p not dividing g,
-  is evaluated for all those primes at once.  g can be a primitive root
-  only where it gives -1, and that sign is also the heuristic's filter,
-  so about half the primes stop here.
+- The quadratic character (g|p) of every odd p not dividing g is read
+  from a table of (delta|r) for r mod |delta|, where delta = `Base.delta`
+  is the fundamental discriminant of Q(sqrt g).  With g = g1 * g2^2 and
+  delta = g1 or 4 * g1, (g|p) = (g1|p) = (delta|p) because p does not
+  divide g2 and (4|p) = 1; and (delta|.) is periodic mod |delta| because
+  delta is a fundamental discriminant.  Above |delta| = 2^12 the table is
+  not built and Euler's criterion, g^((p-1)/2) = (g|p) (mod p), is
+  evaluated for all those primes at once instead.  g can be a primitive
+  root only where the sign is -1, and that sign is also the heuristic's
+  filter, so about half the primes stop here.
 - For the rest, sieving the shifted window of the values p - 1
   (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
   phi(p - 1).
@@ -33,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arith import factor, is_prime
+from .arith import factor, is_prime, kronecker
 from .density import make_base
 from .sieves import X_CAP, factor_predecessors, floor_sums, prime_sieve, segment_primes
 
@@ -52,6 +58,13 @@ F_CAP = 10**6  # every class mod f gets an EmpiricalCount: about 100 MB at 10^6
 # X_CAP terms loses under 2**-69.
 _HEUR_BITS = 96
 
+# the (delta|r) table takes |delta| kronecker calls and |delta| bytes (int8),
+# so this bounds it at a few ms and 4 KB per scan
+_TABLE_CAP = 1 << 12
+
+# a pool pays for its start-up only with at least this many segments per worker
+_JOBS_PER_WORKER = 8
+
 _EULER_GAMMA = 0.5772156649015329
 _LI_2 = 1.0451637801174928  # li(2), the offset of the integral taken from 2
 
@@ -65,7 +78,9 @@ class ScanConfig:
     prime and per (p, q) pair), and every pool worker holds one.  Each
     segment also walks the base primes up to sqrt(x) once per sieve, so
     longer segments run faster at large x (2^18 takes about two thirds of
-    the time of 2^16 at x = 10^8) for proportionally more memory.
+    the time of 2^16 at x = 10^8) for proportionally more memory.  A pool
+    starts only with at least `_JOBS_PER_WORKER` segments per worker;
+    fewer run in process, where they finish before a pool would start.
     """
 
     segment_size: int = 1 << 16
@@ -148,6 +163,15 @@ def _mod_primes(g: int, p: np.ndarray) -> np.ndarray:
     return r
 
 
+def _kronecker_table(delta: int) -> np.ndarray | None:
+    """(delta|r) for 0 <= r < |delta| as int8, with entry 0 set to 0, or
+    None when |delta| > _TABLE_CAP."""
+    if abs(delta) > _TABLE_CAP:
+        return None
+    return np.array([kronecker(delta, r) if r else 0 for r in range(abs(delta))],
+                    dtype=np.int8)
+
+
 def _classes(key: np.ndarray, lo: int, f: int) -> list[int]:
     """The class a (1 <= a <= f) of lo + key mod f, elementwise."""
     cls = (lo + key) % f
@@ -163,7 +187,7 @@ def _by_class(key: np.ndarray, lo: int, f: int) -> dict[int, int]:
 
 
 def _scan_segment(args: tuple) -> tuple:
-    g, f, lo, hi, base_primes, h = args
+    g, f, lo, hi, base_primes, h, table = args
     p = segment_primes(lo, hi, base_primes)
     total = len(p)
     p = p[f % p != 0]  # p in a class coprime to f, as p is prime
@@ -174,9 +198,12 @@ def _scan_segment(args: tuple) -> tuple:
     gp = _mod_primes(g, p)
     keep = (p != 2) & (gp != 0)
     p, key, gp = p[keep], key[keep], gp[keep]
-    # Euler's criterion: g^((p-1)/2) = (g|p) = +-1, and -1 is both the
-    # q = 2 order test and the heuristic's filter
-    keep = _pow_mod(gp.copy(), p >> 1, p) == p - 1
+    # (g|p) = -1 is both the q = 2 order test and the heuristic's filter;
+    # without a table, Euler's criterion g^((p-1)/2) = (g|p) = +-1 decides it
+    if table is None:
+        keep = _pow_mod(gp.copy(), p >> 1, p) == p - 1
+    else:
+        keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]
     idx, q, phi = factor_predecessors(p, base_primes)
     odd = q != 2
@@ -209,7 +236,8 @@ def scan(
         (lo, min(lo + config.segment_size, x + 1))
         for lo in range(2, x + 1, config.segment_size)
     ]
-    jobs = [(g, f, lo, hi, base_primes, base.h) for lo, hi in bounds]
+    table = _kronecker_table(base.delta)
+    jobs = [(g, f, lo, hi, base_primes, base.h, table) for lo, hi in bounds]
     total = 0
     in_class, hits, heur = Counter(), Counter(), Counter()
 
@@ -221,7 +249,7 @@ def scan(
             hits.update(seg_hits)
             heur.update(seg_heur)
 
-    if config.workers <= 1 or len(jobs) == 1:
+    if config.workers <= 1 or len(jobs) < _JOBS_PER_WORKER * config.workers:
         merge(map(_scan_segment, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor

@@ -150,7 +150,8 @@ def floor_sums(
     return present, sums
 
 
-@lru_cache(maxsize=8)
+# one table pair at a time: 5 bytes per n, up to 500 MB at X_CAP
+@lru_cache(maxsize=1)
 def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """mu(n) as int8 and phi(n) as int32 for 0 <= n <= limit <= X_CAP, in
     one sieve.

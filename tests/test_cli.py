@@ -179,6 +179,23 @@ class TestClassifyCommand:
         code, _, _ = run_cli(capsys, "classify", "-g", "9", "--fmax", "4")
         assert code == 2
 
+    def test_rejects_fmax_out_of_range(self, capsys):
+        for fmax in ("1001", "0"):
+            code, out, err = run_cli(capsys, "classify", "-g", "2", "--fmax", fmax)
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_largest_fmax_accepted(self, capsys, monkeypatch):
+        # the verdicts are stubbed: only the bound is under test here
+        verdict = cli.wud_set(2, 1)
+        reason = cli.zero_density(cli.Progression(1, 1), 2)
+        monkeypatch.setattr(cli, "wud_set", lambda g, f: verdict)
+        monkeypatch.setattr(cli, "zero_density", lambda prog, g: reason)
+        code, out, _ = run_cli(capsys, "classify", "-g", "2", "--fmax", "1000", "--format", "csv")
+        assert code == 0
+        assert len(parse_csv(out)) == 1000
+
 
 class TestScanCommand:
     def test_csv_shape(self, capsys):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 import os
 import random
@@ -12,16 +13,18 @@ import mpmath
 import numpy as np
 import pytest
 import sympy
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import rootdensity
 from rootdensity.arith import euler_phi, factor, kronecker
 from rootdensity.density import InvalidBaseError, Progression, delta_closed, make_base
 from rootdensity.scan import (
+    _TABLE_CAP,
     X_CAP,
     EmpiricalCount,
     ScanConfig,
+    _kronecker_table,
     _mod_primes,
     _pow_mod,
     _scan_segment,
@@ -113,13 +116,30 @@ class TestScan:
         assert sum(c.hits for c in counts.values()) + f_hits == whole[1].hits
         assert whole[1].primes_total == counts[1].primes_total
 
-    def test_deterministic_across_worker_counts(self):
-        # small segments force the multi-segment pool path for workers > 1
-        cfg = dict(segment_size=1 << 14)
+    def test_deterministic_across_worker_counts(self, monkeypatch):
+        # 25 small segments, enough jobs per worker for the pool path
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = dict(segment_size=1 << 12)
         one = scan(2, 5, 10**5, ScanConfig(workers=1, **cfg))
         two = scan(2, 5, 10**5, ScanConfig(workers=2, **cfg))
         three = scan(2, 5, 10**5, ScanConfig(workers=3, **cfg))
         assert one == two == three
+        assert pools == [2, 3]
+
+    def test_few_segments_run_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        # 2 segments: fewer than 8 per worker
+        assert scan(2, 4, 10**5, ScanConfig(workers=2)) == scan(2, 4, 10**5)
 
     def test_deterministic_across_segment_sizes(self):
         for x, sizes in [(30_000, (1 << 10, 1 << 20)), (10**6, (4096, 10007, 1 << 18))]:
@@ -198,6 +218,9 @@ class TestAgainstScalarOracle:
 
     @pytest.mark.parametrize("g", GRID_BASES)
     def test_grid(self, g):
+        # only -223092870 (|delta| = 4 * 223092870) takes the Euler pass
+        table = _kronecker_table(make_base(g).delta)
+        assert (table is None) == (g == -223092870)
         terms = _grid_terms(g)
         li_x = li(GRID_X)
         for f in GRID_MODULI:
@@ -220,9 +243,32 @@ class TestAgainstScalarOracle:
         primes = list(sympy.primerange(lo, hi))
         for g in (2, -3, 21**7, 2**63):
             terms = _scalar_terms(g, primes)
-            for f in (1, 12):
-                got = _scan_segment((g, f, lo, hi, base_primes, make_base(g).h))
-                assert got == (len(primes), *_scalar_classes(terms, f)), (g, f)
+            base = make_base(g)
+            for table in (_kronecker_table(base.delta), None):
+                for f in (1, 12):
+                    got = _scan_segment((g, f, lo, hi, base_primes, base.h, table))
+                    assert got == (len(primes), *_scalar_classes(terms, f)), (g, f)
+
+    def test_table_replaces_euler_pass(self, monkeypatch):
+        # with a table, the only modular power left is the odd-q order test
+        scan_module = sys.modules["rootdensity.scan"]
+        calls = []
+
+        def counted(base, exp, mod):
+            calls.append(len(base))
+            return _pow_mod(base, exp, mod)
+
+        monkeypatch.setattr(scan_module, "_pow_mod", counted)
+        base_primes = prime_sieve(math.isqrt(GRID_X)).tolist()
+        for g in (2, -3, 21**7):
+            base = make_base(g)
+            job = (g, 12, 2, GRID_X + 1, base_primes, base.h)
+            calls.clear()
+            with_table = _scan_segment((*job, _kronecker_table(base.delta)))
+            assert len(calls) == 1
+            calls.clear()
+            assert _scan_segment((*job, None)) == with_table
+            assert len(calls) == 2
 
 
 class TestArrayKernels:
@@ -270,6 +316,30 @@ class TestArrayKernels:
         power = _pow_mod(gp, p >> 1, p)
         sign = np.where(power == p - 1, -1, power)
         assert sign.tolist() == [kronecker(g, int(r)) for r in p]
+
+    @given(st.one_of(st.integers(-(2**63), 2**63),
+                     st.builds(lambda s, t: s * t * t, st.integers(-_TABLE_CAP, _TABLE_CAP),
+                               st.integers(1, 2**25))),
+           st.integers(3, X_CAP - 3000))
+    @example(2**63, 3)  # delta = 8
+    @example(-(2**63), X_CAP - 3000)  # delta = -8
+    @example(21**7, 3)  # delta = 21
+    @example(-223092870, 3)  # |delta| > 2^12: no table
+    @settings(max_examples=100, deadline=None)
+    def test_character_table_against_kronecker(self, g, lo):
+        try:
+            delta = make_base(g).delta
+        except InvalidBaseError:
+            assume(False)
+        table = _kronecker_table(delta)
+        assert (table is None) == (abs(delta) > _TABLE_CAP)
+        if table is None:
+            return
+        assert len(table) == abs(delta)
+        base_primes = prime_sieve(math.isqrt(lo + 3000)).tolist()
+        p = segment_primes(lo, lo + 3000, base_primes)
+        p = p[(p != 2) & (_mod_primes(g, p) != 0)]
+        assert table[p % abs(delta)].tolist() == [kronecker(g, int(r)) for r in p]
 
 
 class TestHeuristicSum:

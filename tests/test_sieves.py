@@ -47,6 +47,12 @@ def test_tables_stop_at_the_cap():
         _mu_phi(X_CAP + 1)
 
 
+def test_table_cache_holds_one_limit():
+    _mu_phi(10**3)
+    _mu_phi(2 * 10**3)
+    assert _mu_phi.cache_info().currsize == 1
+
+
 def test_prime_sieve_against_sympy():
     # 961 = 31^2 is a prime square, and 1024 = 32^2 lies past it
     for limit in [*range(301), 961, 1024, 10**4 + 7]:
