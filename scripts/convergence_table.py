@@ -11,28 +11,19 @@ with the weighted character sum against its predicted main term.
 
 import argparse
 import math
-from dataclasses import dataclass
 
 from rootdensity.density import Progression, delta_closed
 from rootdensity.scan import ScanConfig, scan
 
 
-@dataclass(frozen=True)
-class Experiment:
-    g: int
-    f: int
-    bounds: tuple[int, ...]
-    workers: int
-
-
-def run(exp: Experiment) -> None:
-    classes = [a for a in range(1, exp.f + 1) if math.gcd(a, exp.f) == 1]
-    exact = {a: float(delta_closed(Progression(a, exp.f), exp.g)) for a in classes}
-    print(f"base g = {exp.g}, modulus f = {exp.f}")
+def run(g: int, f: int, bounds: tuple[int, ...], workers: int) -> None:
+    classes = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
+    exact = {a: float(delta_closed(Progression(a, f), g)) for a in classes}
+    print(f"base g = {g}, modulus f = {f}")
     print(f"{'x':>10}  {'a':>4}  {'hits':>8}  {'observed':>10}  {'exact':>10}  "
           f"{'abs err':>9}  {'heuristic':>11}  {'main term':>11}")
-    for x in exp.bounds:
-        counts = scan(exp.g, exp.f, x, ScanConfig(workers=exp.workers))
+    for x in bounds:
+        counts = scan(g, f, x, ScanConfig(workers=workers))
         for a in classes:
             c = counts[a]
             observed = c.hits / c.primes_total
@@ -50,7 +41,7 @@ def main() -> None:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     bounds = tuple(int(float(s)) for s in args.bounds.split(","))
-    run(Experiment(g=args.g, f=args.f, bounds=bounds, workers=args.threads))
+    run(args.g, args.f, bounds, args.threads)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ __all__ = [
 
 _FACTOR_CAP = 2**63
 _CACHE_SIZE = 1 << 16  # entries kept by each scalar-function cache
-_TRIAL_BOUND = 10**6
 
 # Deterministic Miller-Rabin witness set: the primes up to 41 decide every
 # n below psi_13, the least strong pseudoprime to all of them.
@@ -84,18 +83,8 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
-def _trial_candidates():
-    yield 2
-    yield 3
-    k = 5
-    while True:
-        yield k
-        yield k + 2
-        k += 6
-
-
 def _rho_split(n: int) -> int:
-    """Nontrivial factor of a composite n with no divisor below the trial bound.
+    """Nontrivial factor of a composite n with no prime factor up to 41.
 
     Brent's cycle-finding variant; the polynomial increment is bumped on the
     rare cycle that collapses to n itself.
@@ -128,7 +117,7 @@ def _rho_split(n: int) -> int:
 
 
 def _large_prime_powers(m: int) -> dict[int, int]:
-    # m has no prime factor below the trial bound; split until prime.
+    # m has no prime factor up to 41; split until prime.
     out: dict[int, int] = {}
     stack = [m]
     while stack:
@@ -143,23 +132,18 @@ def _large_prime_powers(m: int) -> dict[int, int]:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def factor(n: int) -> Factorization:
-    """Factor 1 <= n <= 2**63 (trial division to 1e6, then a rho fallback)."""
+    """Factor 1 <= n <= 2**63: divide out the primes up to 41, then split
+    what is left until `is_prime` accepts each part (Brent's rho)."""
     if n < 1 or n > _FACTOR_CAP:
         raise ValueError(f"factor() expects 1 <= n <= 2**63, got {n}")
     m = n
     powers: dict[int, int] = {}
-    for p in _trial_candidates():
-        if p > _TRIAL_BOUND or p * p > m:
-            break
+    for p in _MR_BASES:
         while m % p == 0:
             powers[p] = powers.get(p, 0) + 1
             m //= p
     if m > 1:
-        if m <= _TRIAL_BOUND * _TRIAL_BOUND:
-            # trial division already reached sqrt(m), so m is prime
-            powers[m] = 1
-        else:
-            powers.update(_large_prime_powers(m))
+        powers.update(_large_prime_powers(m))
     return Factorization(value=n, factors=tuple(sorted(powers.items())))
 
 

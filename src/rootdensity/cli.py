@@ -111,6 +111,8 @@ def cmd_verify(args) -> int:
     classes = _classes(args)
     if not 1 <= args.N <= X_CAP:
         raise ValueError(f"need 1 <= N <= {X_CAP}, got N={args.N}")
+    if not args.tol >= 0:  # also rejects nan, which every comparison would pass
+        raise ValueError(f"need a tolerance >= 0, got tol={args.tol}")
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
     rows = []
     failures = []

@@ -65,14 +65,25 @@ def _needs_symbol(n, abs_delta, splits):
     return (n % 2 == 0) & (n % abs_delta != 0) & splits
 
 
-def degree_nkr(k: int, r: int, base: Base) -> int:
-    """Degree over Q of the field of r-th roots of unity and a k-th root of g,
-    for squarefree k dividing r (the lemma in `_degree`)."""
-    if k < 1 or r < 1 or r % k:
-        raise ValueError(f"need k | r, got k={k}, r={r}")
+def _co_delta(f: int, base: Base) -> int:
+    """|delta| / gcd(|delta|, f): the discriminant divides lcm(f, n) iff this
+    divides n / gcd(f, n)."""
+    abs_delta = abs(base.delta)
+    return abs_delta // math.gcd(abs_delta, f)
+
+
+def degree_nkr(k: int, f: int, base: Base) -> int:
+    """Degree over Q of the field of lcm(f, k)-th roots of unity and a k-th
+    root of g, for squarefree k (the lemma in `_degree`).  With
+    d = gcd(k, f), lcm(f, k) = f * (k / d) and k / d is prime to f, so
+    phi(lcm(f, k)) = phi(f) * phi(k / d)."""
+    if k < 1 or f < 1:
+        raise ValueError(f"need k, f >= 1, got k={k}, f={f}")
     if not is_squarefree(k):
         raise ValueError(f"k must be squarefree, got {k}")
-    return _degree(k, math.gcd(k, base.h), euler_phi(r), r % abs(base.delta) == 0)
+    d = math.gcd(k, f)
+    splits = k // d % _co_delta(f, base) == 0
+    return _degree(k, math.gcd(k, base.h), euler_phi(f) * euler_phi(k // d), splits)
 
 
 def _survives(prog: Progression, base: Base, d: int, special: bool) -> bool:
@@ -92,7 +103,7 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
     weight vanishes anyway): the rule in `_survives` on the bucket of n.
     """
     d = math.gcd(prog.f, n)
-    special = _needs_symbol(n, abs(base.delta), prog.f * n // d % abs(base.delta) == 0)
+    special = _needs_symbol(n, abs(base.delta), n // d % _co_delta(prog.f, base) == 0)
     return int(_survives(prog, base, d, special))
 
 
@@ -112,16 +123,15 @@ def _bucket_sums(
     The degree array is int64 for any f and g.  With d = gcd(f, n) =
     gcd(rad f, n) and r = lcm(f, n) = f * (n / d), the degree is
     phi(f) * deg', deg' the lemma at phi(n) / phi(d), so deg' <= limit^2
-    and the floor is floor(floor(2^192 / phi(f)) / deg').  The discriminant divides r iff
-    |delta| / gcd(|delta|, f) divides n / d; both clamp to limit + 1.
+    and the floor is floor(floor(2^192 / phi(f)) / deg').  The discriminant
+    divides r iff `_co_delta` divides n / d; it and |delta| clamp to limit + 1.
     """
     base = make_base(g)
     mob = mobius_table(limit)
     phi = phi_table(limit)
     rad = math.prod(factor(f).primes())
-    abs_delta = abs(base.delta)
-    co_delta = min(abs_delta // math.gcd(abs_delta, f), limit + 1)
-    abs_delta = min(abs_delta, limit + 1)
+    co_delta = min(_co_delta(f, base), limit + 1)
+    abs_delta = min(abs(base.delta), limit + 1)
     top = (1 << _UNIT_BITS) // euler_phi(f)
     sums: dict[int, int] = {}  # by bucket key
     for lo in range(1, limit + 1, _BLOCK):

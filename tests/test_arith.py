@@ -3,7 +3,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootdensity.arith import (
@@ -40,7 +40,7 @@ class TestFactor:
             factor(2**63 + 1)
 
     def test_rho_fallback_on_large_semiprime(self):
-        n = 1000003 * 1000033  # both factors above the trial bound
+        n = 1000003 * 1000033  # both factors above 41, so rho splits n
         assert factor(n).factors == ((1000003, 1), (1000033, 1))
 
     def test_mersenne_prime(self):
@@ -49,6 +49,28 @@ class TestFactor:
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_sympy(self, n):
+        assert dict(factor(n).factors) == sympy.factorint(n)
+
+    @given(
+        st.lists(
+            st.tuples(st.integers(min_value=42, max_value=10**6), st.integers(1, 12)),
+            min_size=1,
+            max_size=4,
+        ),
+        st.lists(st.sampled_from(list(sympy.primerange(42))), max_size=10),
+    )
+    @settings(max_examples=200, deadline=None)
+    @example([(43, 11)], [])
+    @example([(999983, 3)], [])
+    @example([(43, 1), (47, 1)], [])
+    @example([(43, 9)], [2] * 10)
+    def test_rough_parts_agree_with_sympy(self, powers, smooth):
+        # past the primes up to 41, only is_prime and rho see the cofactor
+        n = math.prod(smooth)
+        for q, e in powers:
+            q = sympy.nextprime(q - 1)
+            if q < 10**6 and n * q**e <= 2**63:
+                n *= q**e
         assert dict(factor(n).factors) == sympy.factorint(n)
 
     def test_invalid_factorization_rejected(self):

@@ -140,6 +140,19 @@ class TestVerifyCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_bad_tolerance_rejected_before_scan(self, capsys, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("scan ran before the tolerance was validated")
+
+        monkeypatch.setattr(cli, "scan", no_scan)
+        for tol in ("nan", "-1"):
+            code, out, err = run_cli(
+                capsys, "verify", "-g", "2", "-f", "4", "--tol", tol, "--threads", "1",
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
     def test_coarse_truncation_still_passes(self, capsys):
         # N = 16 leaves a wide tail bound, which the check respects
         code, out, err = run_cli(

@@ -38,7 +38,7 @@ from conftest import brute_order, residues
 
 
 def _oracle_hits(g: int, f: int, x: int) -> dict[int, int]:
-    """Hit counts by enumeration and repeated-multiplication order."""
+    """Hit counts by enumeration and sympy's multiplicative order."""
     hits = {a: 0 for a in residues(f)}
     for p in sympy.primerange(3, x + 1):
         if g % p == 0:
@@ -46,7 +46,7 @@ def _oracle_hits(g: int, f: int, x: int) -> dict[int, int]:
         cls = p % f or f
         if math.gcd(cls, f) != 1:
             continue
-        if brute_order(g, p) == p - 1:
+        if sympy.n_order(g % p, p) == p - 1:
             hits[cls] += 1
     return hits
 

@@ -17,8 +17,8 @@ from conftest import residues
 def _naive_partial_sum(prog: Progression, g: int, N: int) -> Fraction:
     """Term-by-term series straight from the defining formula, exact.
 
-    The degree is the lemma of `degree_nkr` with phi(lcm(f, n)) from sympy,
-    as lcm(f, n) passes 2^63, the end of `factor`'s range, for f near 2^63.
+    The degree is the lemma of `degree_nkr` with phi(lcm(f, n)) from sympy
+    and the split test written as |delta| dividing lcm(f, n).
     """
     base = make_base(g)
     total = Fraction(0)
@@ -51,8 +51,14 @@ class TestDegree:
         base = make_base(2)
         with pytest.raises(ValueError):
             degree_nkr(4, 8, base)  # not squarefree
-        with pytest.raises(ValueError):
-            degree_nkr(3, 4, base)  # k does not divide r
+
+    def test_level_is_lcm_past_factor_cap(self):
+        # lcm(2^63, 3) = 3 * 2^63 lies beyond factor(); phi comes from f and k / d
+        base = make_base(2)
+        r = 3 * 2**63
+        deg = series._degree(3, math.gcd(3, base.h), int(sympy.totient(r)), r % 8 == 0)
+        assert degree_nkr(3, 2**63, base) == deg
+        assert degree_nkr(3, 4, base) == degree_nkr(3, 12, base)
 
     def test_divisibility(self):
         for g in (2, 3, 8, -21, 12):
