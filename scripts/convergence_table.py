@@ -10,14 +10,13 @@ with the weighted character sum against its predicted main term.
 """
 
 import argparse
-import math
 
-from rootdensity.density import Progression, delta_closed
+from rootdensity.density import Progression, delta_closed, residues
 from rootdensity.scan import ScanConfig, scan
 
 
 def run(g: int, f: int, bounds: tuple[int, ...], workers: int) -> None:
-    classes = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
+    classes = residues(f)
     exact = {a: float(delta_closed(Progression(a, f), g)) for a in classes}
     print(f"base g = {g}, modulus f = {f}")
     print(f"{'x':>10}  {'a':>4}  {'hits':>8}  {'observed':>10}  {'exact':>10}  "

@@ -10,10 +10,9 @@ density encountered along the way.
 """
 
 import argparse
-import math
 
 from rootdensity.classify import wud_set, zero_density
-from rootdensity.density import InvalidBaseError, Progression, make_base
+from rootdensity.density import InvalidBaseError, Progression, make_base, residues
 
 
 def survey(gmin: int, gmax: int, fmax: int) -> None:
@@ -26,9 +25,7 @@ def survey(gmin: int, gmax: int, fmax: int) -> None:
         wud = [f for f in range(1, fmax + 1) if wud_set(g, f).is_wud]
         zeros = []
         for f in range(1, fmax + 1):
-            for a in range(1, f + 1):
-                if math.gcd(a, f) != 1:
-                    continue
+            for a in residues(f):
                 if zero_density(Progression(a, f), g).triggered:
                     zeros.append(f"{a}({f})")
         family = wud_set(g, 1).family.value

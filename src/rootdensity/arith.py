@@ -45,6 +45,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
+    if n < 43 * 43:  # no prime factor up to 41 and none above: n is prime
+        return True
     d = n - 1
     s = (d & -d).bit_length() - 1
     d >>= s

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from decimal import Decimal, localcontext
@@ -28,8 +27,9 @@ from .density import (
     delta_closed,
     delta_closed_v2,
     make_base,
+    residues,
 )
-from .scan import F_CAP, ScanConfig, scan
+from .scan import ScanConfig, scan
 from .series import series_truncated
 from .sieves import X_CAP
 
@@ -40,16 +40,10 @@ CLASSIFY_COLUMNS = ["f", "is_wud", "family", "zero_residues"]
 _FMAX_CAP = 1000
 
 
-def _residues(f: int) -> list[int]:
-    if not 1 <= f <= F_CAP:
-        raise ValueError(f"need 1 <= f <= {F_CAP} to list every class, got f={f}")
-    return [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
-
-
 def _classes(args) -> list[Progression]:
     """The requested classes (-a, or every coprime class mod f), validated
     before any work is done."""
-    classes = [args.a] if args.a is not None else _residues(args.f)
+    classes = [args.a] if args.a is not None else residues(args.f)
     return [Progression(a, args.f) for a in classes]
 
 
@@ -158,7 +152,7 @@ def cmd_classify(args) -> int:
     for f in range(1, args.fmax + 1):
         verdict = wud_set(args.g, f)
         zeros = [
-            a for a in _residues(f)
+            a for a in residues(f)
             if zero_density(Progression(a, f), args.g).triggered
         ]
         rows.append({
@@ -213,7 +207,9 @@ def _add_common(sub, scanning: bool = False) -> None:
     sub.add_argument("--digits", type=int, default=12, choices=range(1, 31),
                      metavar="1..30", help="significant digits in numeric output")
     if scanning:
-        sub.add_argument("--threads", type=int, default=len(os.sched_getaffinity(0)),
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count() or 1)  # macOS and Windows lack sched_getaffinity
+        sub.add_argument("--threads", type=int, default=cpus,
                          help="worker processes for the sieve scan")
 
 

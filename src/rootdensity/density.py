@@ -61,6 +61,8 @@ _ARTIN_70_PLACES = (
 ARTIN_CONSTANT_30_DIGITS = _ARTIN_70_PLACES[:32]
 ARTIN_CONSTANT = Fraction(int(_ARTIN_70_PLACES[2:]), 10**70)
 
+F_CAP = 10**6  # the most classes `residues` lists: a scan keeps a count for each
+
 
 class InvalidBaseError(ValueError):
     """The base is 0, -1 or a perfect square: such a base is a primitive
@@ -118,6 +120,13 @@ class Progression:
             raise ValueError(f"progression {self.a} mod {self.f} is not coprime")
 
 
+def residues(f: int) -> list[int]:
+    """Every a with 1 <= a <= f and gcd(a, f) = 1, for 1 <= f <= F_CAP."""
+    if not 1 <= f <= F_CAP:
+        raise ValueError(f"need 1 <= f <= {F_CAP} to list every class, got f={f}")
+    return [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
+
+
 @dataclass(frozen=True)
 class DensityValue:
     """A density held exactly as coefficient * ArtinConstant."""
@@ -161,18 +170,26 @@ def gamma_factor(f: int, base: Base) -> tuple[int, int]:
     return b, gamma
 
 
+def _degree(n, gcd_nh, phi_r, splits):
+    """The degree lemma, elementwise over ints or integer arrays: for
+    squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly for any
+    phi_r, as h is odd) when n is even and the discriminant divides r
+    (splits): the square root of g1 then lies in the r-th cyclotomic field."""
+    halve = (n % 2 == 0) & splits
+    return n // gcd_nh * phi_r // (1 + halve)
+
+
 def w(k: int, f: int, h: int) -> int:
-    """Multiplicative weight k * phi(lcm(k, f)) / (gcd(k, h) * phi(f)).
+    """Multiplicative weight k * phi(lcm(k, f)) / (gcd(k, h) * phi(f)): the
+    lemma in `_degree`, unhalved, at phi(lcm(k, f)) / phi(f) =
+    phi(k) / phi(gcd(k, f)), so nothing larger than k or f is factored.
 
     On primes: p(p-1) away from f and h, p on f only, p-1 on h only, 1 on
     both, and w(2) = 2 whenever h is odd.
     """
     if k < 1 or f < 1 or h < 1 or h % 2 == 0:
         raise ValueError(f"need k, f >= 1 and odd h; got k={k}, f={f}, h={h}")
-    num = k * euler_phi(math.lcm(k, f))
-    den = math.gcd(k, h) * euler_phi(f)
-    assert num % den == 0
-    return num // den
+    return _degree(k, math.gcd(k, h), euler_phi(k) // euler_phi(math.gcd(k, f)), False)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

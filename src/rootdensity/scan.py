@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .arith import factor, is_prime, kronecker
-from .density import make_base
+from .density import make_base, residues
 from .sieves import X_CAP, factor_predecessors, floor_sums, prime_sieve, segment_primes
 
 __all__ = [
@@ -50,8 +50,6 @@ __all__ = [
     "li",
     "scan",
 ]
-
-F_CAP = 10**6  # every class mod f gets an EmpiricalCount: about 100 MB at 10^6
 
 # The heuristic sum is kept in integer units of 2**-_HEUR_BITS and rounded
 # once, so no split of the primes into segments can change it; flooring
@@ -228,9 +226,10 @@ def scan(
     included); hits require p odd, p not dividing g, and g of full order.
     Classes not coprime to f are not reported.
     """
+    classes = residues(f)
     base = make_base(g)
-    if not (1 <= f <= F_CAP and 2 <= x <= X_CAP):
-        raise ValueError(f"need 1 <= f <= {F_CAP} and 2 <= x <= {X_CAP}, got f={f}, x={x}")
+    if not (2 <= x <= X_CAP and config.segment_size >= 1 and config.workers >= 1):
+        raise ValueError(f"need 2 <= x <= {X_CAP}, segment_size and workers >= 1; got x={x}, {config}")
     base_primes = prime_sieve(math.isqrt(x)).tolist()
     bounds = [
         (lo, min(lo + config.segment_size, x + 1))
@@ -256,7 +255,6 @@ def scan(
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             merge(pool.map(_scan_segment, jobs))
-    residues = [a for a in range(1, f + 1) if math.gcd(a, f) == 1]
     li_x = li(x)
     return {
         a: EmpiricalCount(
@@ -267,6 +265,6 @@ def scan(
             heuristic_sum=2.0 * (heur[a] / (1 << _HEUR_BITS)),
             li_x=li_x,
         )
-        for a in residues
+        for a in classes
     }
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import euler_phi, factor, is_squarefree, kronecker
-from .density import Base, Progression, gamma_factor, make_base
+from .density import Base, Progression, _degree, gamma_factor, make_base
 from .sieves import floor_sums, mobius_table, phi_table
 
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
@@ -49,15 +49,6 @@ class SeriesEstimate:
     tail_bound: Decimal
 
 
-def _degree(n, gcd_nh, phi_r, splits):
-    """The degree lemma, elementwise over ints or integer arrays: for
-    squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly for any
-    phi_r, as h is odd) when n is even and the discriminant divides r
-    (splits): the square root of g1 then lies in the r-th cyclotomic field."""
-    halve = (n % 2 == 0) & splits
-    return n // gcd_nh * phi_r // (1 + halve)
-
-
 def _needs_symbol(n, abs_delta, splits):
     """The quadratic-symbol condition, elementwise: with r = lcm(f, n), the
     intersection field picks up a square root iff n is even and the
@@ -65,25 +56,18 @@ def _needs_symbol(n, abs_delta, splits):
     return (n % 2 == 0) & (n % abs_delta != 0) & splits
 
 
-def _co_delta(f: int, base: Base) -> int:
-    """|delta| / gcd(|delta|, f): the discriminant divides lcm(f, n) iff this
-    divides n / gcd(f, n)."""
-    abs_delta = abs(base.delta)
-    return abs_delta // math.gcd(abs_delta, f)
-
-
 def degree_nkr(k: int, f: int, base: Base) -> int:
     """Degree over Q of the field of lcm(f, k)-th roots of unity and a k-th
-    root of g, for squarefree k (the lemma in `_degree`).  With
-    d = gcd(k, f), lcm(f, k) = f * (k / d) and k / d is prime to f, so
-    phi(lcm(f, k)) = phi(f) * phi(k / d)."""
+    root of g, for squarefree k (the lemma in `density._degree`).  With
+    d = gcd(k, f), phi(lcm(f, k)) = phi(f) * phi(k) / phi(d), and the
+    discriminant divides lcm(f, k) = f * (k / d) iff |b| (`gamma_factor`) divides k / d."""
     if k < 1 or f < 1:
         raise ValueError(f"need k, f >= 1, got k={k}, f={f}")
     if not is_squarefree(k):
         raise ValueError(f"k must be squarefree, got {k}")
     d = math.gcd(k, f)
-    splits = k // d % _co_delta(f, base) == 0
-    return _degree(k, math.gcd(k, base.h), euler_phi(f) * euler_phi(k // d), splits)
+    splits = k // d % abs(gamma_factor(f, base)[0]) == 0
+    return _degree(k, math.gcd(k, base.h), euler_phi(f) * (euler_phi(k) // euler_phi(d)), splits)
 
 
 def _survives(prog: Progression, base: Base, d: int, special: bool) -> bool:
@@ -103,8 +87,8 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
     weight vanishes anyway): the rule in `_survives` on the bucket of n.
     """
     d = math.gcd(prog.f, n)
-    special = _needs_symbol(n, abs(base.delta), n // d % _co_delta(prog.f, base) == 0)
-    return int(_survives(prog, base, d, special))
+    splits = n // d % abs(gamma_factor(prog.f, base)[0]) == 0
+    return int(_survives(prog, base, d, _needs_symbol(n, abs(base.delta), splits)))
 
 
 @lru_cache(maxsize=256)
@@ -124,20 +108,20 @@ def _bucket_sums(
     gcd(rad f, n) and r = lcm(f, n) = f * (n / d), the degree is
     phi(f) * deg', deg' the lemma at phi(n) / phi(d), so deg' <= limit^2
     and the floor is floor(floor(2^192 / phi(f)) / deg').  The discriminant
-    divides r iff `_co_delta` divides n / d; it and |delta| clamp to limit + 1.
+    divides r iff |b| (`gamma_factor`) divides n / d; |b| and |delta| clamp to limit + 1.
     """
     base = make_base(g)
     mob = mobius_table(limit)
     phi = phi_table(limit)
     rad = math.prod(factor(f).primes())
-    co_delta = min(_co_delta(f, base), limit + 1)
+    abs_b = min(abs(gamma_factor(f, base)[0]), limit + 1)
     abs_delta = min(abs(base.delta), limit + 1)
     top = (1 << _UNIT_BITS) // euler_phi(f)
     sums: dict[int, int] = {}  # by bucket key
     for lo in range(1, limit + 1, _BLOCK):
         n = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
         d = np.gcd(n, rad)
-        splits = n // d % co_delta == 0
+        splits = n // d % abs_b == 0
         deg = _degree(n, np.gcd(n, base.h), phi[n] // phi[d], splits)
         special = _needs_symbol(n, abs_delta, splits)
         # bucket key 2 * gcd(f, n) + needs-symbol, numbered 0.. per block
@@ -154,7 +138,7 @@ def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstima
 
     The bound 2*sqrt(2)*h/sqrt(N) dominates the discarded terms.  Each
     has |term| <= 1/degree, and degree >= n*phi(n) / (h * (1 + [n even]))
-    by the lemma in `_degree`.  An even squarefree n = 2m has m odd and
+    by the degree lemma.  An even squarefree n = 2m has m odd and
     n*phi(n) = 2m*phi(m), and phi(k) >= sqrt(k) for every odd k, so
 
         tail <= h * (sum_{odd k > N} k^(-3/2) + sum_{odd m > N/2} m^(-3/2)).

@@ -93,6 +93,11 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             is_prime(3317044064679887385961981)  # psi_13
 
+    def test_agrees_with_sympy_below_3000(self):
+        # covers the trial-division shortcut below 43^2 and its edge: 1849 = 43^2
+        for n in range(-2, 3000):
+            assert is_prime(n) == sympy.isprime(n), n
+
 
 class TestMobiusPhi:
     def test_examples(self):

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import os
 from fractions import Fraction
 
 from rootdensity import cli
@@ -248,6 +249,24 @@ class TestScanCommand:
             )
             assert code == 2
             assert err.startswith("error:")
+
+    def test_nonpositive_threads_rejected(self, capsys):
+        for threads in ("0", "-1"):
+            code, out, err = run_cli(
+                capsys, "scan", "-g", "2", "-f", "4", "-x", "1000", "--threads", threads,
+            )
+            assert code == 2
+            assert out == ""
+            assert err.startswith("error:")
+
+    def test_runs_without_sched_getaffinity(self, capsys, monkeypatch):
+        # macOS and Windows have no os.sched_getaffinity
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        code, out, _ = run_cli(capsys, "density", "-g", "2", "-f", "4")
+        assert code == 0
+        assert out
+        code, _, _ = run_cli(capsys, "scan", "-g", "2", "-f", "4", "-x", "1000")
+        assert code == 0
 
 
 class TestHeuristicCommand:

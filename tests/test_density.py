@@ -134,6 +134,15 @@ class TestW:
         with pytest.raises(ValueError):
             w(3, 1, 2)
 
+    def test_against_definition_past_factor_cap(self):
+        # lcm(k, f) exceeds 2**63 here, so w must not factor it
+        for f in (2**63, 3 * 2**62, 12, 1):
+            for h in (1, 3, 15):
+                for k in range(1, 61):
+                    want = Fraction(k * int(sympy.totient(math.lcm(k, f))),
+                                    math.gcd(k, h) * int(sympy.totient(f)))
+                    assert w(k, f, h) == want, (k, f, h)
+
 
 def _coeff_A_defining_product(a: int, f: int, h: int, prime_bound: int) -> float:
     """The three-factor Euler product, truncated over p <= prime_bound.
@@ -199,6 +208,26 @@ class TestSOfB:
                     lhs = euler_phi(f) * delta_closed(prog, g).coefficient
                     rhs = coeff_A(prog, base.h) + kronecker(gamma, a) * (-s_of_b(prog, base))
                     assert lhs == rhs
+
+    def test_proof_identity_at_factor_cap(self):
+        # f = 2**63: every odd b here has w(p, f, h) with lcm(p, f) > 2**63
+        f = 2**63
+        for g in (3, 5, -3, 12):
+            base = make_base(g)
+            b, gamma = gamma_factor(f, base)
+            assert b % 2
+            for a in (1, 3, 5, f - 1):
+                prog = Progression(a, f)
+                denom = 1
+                for p in sympy.primefactors(abs(b)):
+                    w_p = p * int(sympy.totient(p * f)) // (math.gcd(p, base.h) * int(sympy.totient(f)))
+                    assert w(p, f, base.h) == w_p
+                    denom *= w_p - 1
+                s = s_of_b(prog, base)
+                assert s == Fraction(-sympy.mobius(2 * abs(b)), denom) * coeff_A(prog, base.h)
+                lhs = euler_phi(f) * delta_closed(prog, g).coefficient
+                assert lhs == coeff_A(prog, base.h) + kronecker(gamma, a) * (-s)
+                assert delta_closed(prog, g) == delta_closed_v2(prog, g)
 
 
 class TestDeltaClosed:

@@ -156,6 +156,10 @@ class TestScan:
         for f in (0, 10**6 + 1, 10**8 + 1, 2**63):
             with pytest.raises(ValueError):
                 scan(2, f, 1000)
+        for config in (ScanConfig(segment_size=-1), ScanConfig(segment_size=0),
+                       ScanConfig(workers=0), ScanConfig(workers=-2)):
+            with pytest.raises(ValueError, match="segment_size and workers"):
+                scan(2, 4, 1000, config)
 
     def test_sampled_hits_have_full_order(self):
         # reproduce the scan's hit set independently on a sample
