@@ -85,6 +85,15 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+def _proven(value: int, factors: tuple[tuple[int, int], ...]) -> Factorization:
+    """A Factorization whose prime powers `factor` has already proven,
+    built without `__post_init__`'s second primality test of each."""
+    fac = object.__new__(Factorization)
+    object.__setattr__(fac, "value", value)
+    object.__setattr__(fac, "factors", factors)
+    return fac
+
+
 def _rho_split(n: int) -> int:
     """Nontrivial factor of a composite n with no prime factor up to 41.
 
@@ -146,7 +155,7 @@ def factor(n: int) -> Factorization:
             m //= p
     if m > 1:
         powers.update(_large_prime_powers(m))
-    return Factorization(value=n, factors=tuple(sorted(powers.items())))
+    return _proven(n, tuple(sorted(powers.items())))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)

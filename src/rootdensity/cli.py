@@ -21,6 +21,7 @@ from decimal import Decimal, localcontext
 
 from .classify import wud_set, zero_density
 from .density import (
+    X_CAP,
     DensityValue,
     InvalidBaseError,
     Progression,
@@ -29,9 +30,6 @@ from .density import (
     make_base,
     residues,
 )
-from .scan import ScanConfig, scan
-from .series import series_truncated
-from .sieves import X_CAP
 
 RECORD_COLUMNS = ["g", "f", "a", "coefficient", "numeric", "method", "value", "error"]
 SCAN_COLUMNS = ["a", "primes_in_class", "hits", "observed", "predicted", "abs_error"]
@@ -101,6 +99,9 @@ def cmd_density(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .scan import ScanConfig, scan
+    from .series import series_truncated
+
     make_base(args.g)
     classes = _classes(args)
     if not 1 <= args.N <= X_CAP:
@@ -166,6 +167,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_scan(args) -> int:
+    from .scan import ScanConfig, scan
+
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
     rows = []
     for a, count in counts.items():
@@ -184,6 +187,8 @@ def cmd_scan(args) -> int:
 
 
 def cmd_heuristic(args) -> int:
+    from .scan import ScanConfig, scan
+
     classes = _classes(args)
     counts = scan(args.g, args.f, args.x, ScanConfig(workers=args.threads))
     rows = []
@@ -207,9 +212,8 @@ def _add_common(sub, scanning: bool = False) -> None:
     sub.add_argument("--digits", type=int, default=12, choices=range(1, 31),
                      metavar="1..30", help="significant digits in numeric output")
     if scanning:
-        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                else os.cpu_count() or 1)  # macOS and Windows lack sched_getaffinity
-        sub.add_argument("--threads", type=int, default=cpus,
+        # scan starts at most as many workers as there are usable cores
+        sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
                          help="worker processes for the sieve scan")
 
 

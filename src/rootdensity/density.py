@@ -62,6 +62,7 @@ ARTIN_CONSTANT_30_DIGITS = _ARTIN_70_PLACES[:32]
 ARTIN_CONSTANT = Fraction(int(_ARTIN_70_PLACES[2:]), 10**70)
 
 F_CAP = 10**6  # the most classes `residues` lists: a scan keeps a count for each
+X_CAP = 10**8  # bounds the scan's x and the series' N: p**2 < 2**63 in the scan, int32 tables
 
 
 class InvalidBaseError(ValueError):

@@ -22,7 +22,7 @@ Each segment is array work, with no loop over its primes:
   phi(p - 1).
 - One square-and-multiply over all pairs (p, q) with q odd decides
   g^((p-1)/q) != 1.  It runs in int64: residues are below p <= X_CAP =
-  10^8 < 2^27 (`sieves.X_CAP`, which also bounds the series' N), so the
+  10^8 < 2^27 (`density.X_CAP`, which also bounds the series' N), so the
   product of two is below 2^54 and never wraps.
 - Per-class counts come from np.bincount, and `sieves.floor_sums` adds
   the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
@@ -34,14 +34,15 @@ so the result is identical for any worker count and segment size.
 from __future__ import annotations
 
 import math
+import os
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .arith import factor, is_prime, kronecker
-from .density import make_base, residues
-from .sieves import X_CAP, factor_predecessors, floor_sums, prime_sieve, segment_primes
+from .density import X_CAP, make_base, residues
+from .sieves import factor_predecessors, floor_sums, prime_sieve, segment_primes
 
 __all__ = [
     "EmpiricalCount",
@@ -77,8 +78,9 @@ class ScanConfig:
     segment also walks the base primes up to sqrt(x) once per sieve, so
     longer segments run faster at large x (2^18 takes about two thirds of
     the time of 2^16 at x = 10^8) for proportionally more memory.  A pool
-    starts only with at least `_JOBS_PER_WORKER` segments per worker;
-    fewer run in process, where they finish before a pool would start.
+    gets at most `workers` processes, one per usable core and one per
+    `_JOBS_PER_WORKER` segments; with fewer than two, the segments run in
+    process, where they finish before a pool would start.
     """
 
     segment_size: int = 1 << 16
@@ -217,6 +219,13 @@ def _scan_segment(args: tuple) -> tuple:
     return total, in_class, hits, heur
 
 
+def _usable_cores() -> int:
+    """The cores this process may run on, read at call time."""
+    if hasattr(os, "sched_getaffinity"):  # macOS and Windows lack it
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def scan(
     g: int, f: int, x: int, config: ScanConfig = ScanConfig()
 ) -> dict[int, EmpiricalCount]:
@@ -248,12 +257,13 @@ def scan(
             hits.update(seg_hits)
             heur.update(seg_heur)
 
-    if config.workers <= 1 or len(jobs) < _JOBS_PER_WORKER * config.workers:
+    workers = min(config.workers, _usable_cores(), len(jobs) // _JOBS_PER_WORKER)
+    if workers <= 1:
         merge(map(_scan_segment, jobs))
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             merge(pool.map(_scan_segment, jobs))
     li_x = li(x)
     return {

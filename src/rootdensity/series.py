@@ -134,7 +134,7 @@ def _bucket_sums(
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:
     """Truncated series value for the class density, with a tail bound,
-    for 1 <= N <= `sieves.X_CAP`.
+    for 1 <= N <= `density.X_CAP`.
 
     The bound 2*sqrt(2)*h/sqrt(N) dominates the discarded terms.  Each
     has |term| <= 1/degree, and degree >= n*phi(n) / (h * (1 + [n even]))

@@ -9,8 +9,8 @@ the square root of the limit, which leaves each index with at most one
 larger prime factor to apply.  They are cached together per limit and
 must be treated as read-only by callers.
 
-`X_CAP` bounds both the scan's x and the series' N, so the Moebius table
-is int8 and the totient table int32.
+`density.X_CAP` bounds both the scan's x and the series' N, so the Moebius
+table is int8 and the totient table int32.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 
 import numpy as np
 
-X_CAP = 10**8  # bounds x and N: p**2 < 2**63 in the scan, int32 tables
+from .density import X_CAP
 
 
 def prime_sieve(limit: int) -> np.ndarray:

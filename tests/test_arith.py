@@ -6,6 +6,7 @@ import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from rootdensity import arith
 from rootdensity.arith import (
     Factorization,
     euler_phi,
@@ -80,6 +81,18 @@ class TestFactor:
             Factorization(value=12, factors=((3, 1), (2, 2)))
         with pytest.raises(ValueError):
             Factorization(value=8, factors=((8, 1),))
+
+    def test_each_large_prime_tested_once(self, monkeypatch):
+        calls = []
+
+        def counting_is_prime(n):
+            calls.append(n)
+            return is_prime(n)
+
+        monkeypatch.setattr(arith, "is_prime", counting_is_prime)
+        # factor.__wrapped__ bypasses the cache, so the call is cold
+        assert factor.__wrapped__(10**9 + 7).factors == ((10**9 + 7, 1),)
+        assert calls == [10**9 + 7]
 
 
 class TestIsPrime:

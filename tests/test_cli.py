@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import os
@@ -12,6 +13,12 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def patch_scan(monkeypatch, replacement):
+    """Replace `scan` where the CLI looks it up when a command runs: in the
+    submodule, as the package attribute `scan` is the function."""
+    monkeypatch.setattr(importlib.import_module("rootdensity.scan"), "scan", replacement)
 
 
 def parse_csv(text):
@@ -125,7 +132,7 @@ class TestVerifyCommand:
         def no_scan(*args):
             raise AssertionError("scan ran before the class was validated")
 
-        monkeypatch.setattr(cli, "scan", no_scan)
+        patch_scan(monkeypatch, no_scan)
         code, _, err = run_cli(capsys, "verify", "-g", "2", "-f", "4", "-a", "2", "--threads", "1")
         assert code == 2
         assert "coprime" in err
@@ -134,7 +141,7 @@ class TestVerifyCommand:
         def no_scan(*args):
             raise AssertionError("scan ran before N was validated")
 
-        monkeypatch.setattr(cli, "scan", no_scan)
+        patch_scan(monkeypatch, no_scan)
         code, _, err = run_cli(
             capsys, "verify", "-g", "2", "-f", "4", "-N", str(10**8 + 1), "--threads", "1",
         )
@@ -145,7 +152,7 @@ class TestVerifyCommand:
         def no_scan(*args):
             raise AssertionError("scan ran before the tolerance was validated")
 
-        monkeypatch.setattr(cli, "scan", no_scan)
+        patch_scan(monkeypatch, no_scan)
         for tol in ("nan", "-1"):
             code, out, err = run_cli(
                 capsys, "verify", "-g", "2", "-f", "4", "--tol", tol, "--threads", "1",

@@ -36,6 +36,9 @@ from rootdensity.sieves import factor_predecessors, prime_sieve, segment_primes
 
 from conftest import brute_order, residues
 
+# the submodule: the package attribute `scan` is the function
+SCAN_MODULE = sys.modules[scan.__module__]
+
 
 def _oracle_hits(g: int, f: int, x: int) -> dict[int, int]:
     """Hit counts by enumeration and sympy's multiplicative order."""
@@ -117,7 +120,7 @@ class TestScan:
         assert whole[1].primes_total == counts[1].primes_total
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
-        # 25 small segments, enough jobs per worker for the pool path
+        # 25 small segments and 3 usable cores, enough for pools of 2 and 3
         pools = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -126,12 +129,41 @@ class TestScan:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 3)
         cfg = dict(segment_size=1 << 12)
         one = scan(2, 5, 10**5, ScanConfig(workers=1, **cfg))
         two = scan(2, 5, 10**5, ScanConfig(workers=2, **cfg))
         three = scan(2, 5, 10**5, ScanConfig(workers=3, **cfg))
         assert one == two == three
         assert pools == [2, 3]
+
+    def test_pool_capped_by_cores_and_segments(self, monkeypatch):
+        # a stub pool records its size and runs the segments in process;
+        # no worker process is started
+        sizes = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        cfg = ScanConfig(segment_size=64, workers=500)
+        # x = 64000 and 10240 make 1000 and 160 segments, 8 per worker for
+        # 125 and 20 workers
+        for cores, x, want in [(64, 64_000, [64]), (1000, 10_240, [20]), (1, 64_000, [])]:
+            sizes.clear()
+            monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda n=cores: n)
+            assert scan(2, 4, x, cfg) == scan(2, 4, x, ScanConfig(segment_size=64))
+            assert sizes == want
 
     def test_few_segments_run_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
