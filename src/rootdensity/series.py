@@ -25,7 +25,7 @@ from functools import lru_cache
 import numpy as np
 
 from .arith import euler_phi, factor, is_squarefree, kronecker
-from .density import Base, Progression, _degree, gamma_factor, make_base
+from .density import X_CAP, Base, Progression, _degree, gamma_factor, make_base
 from .sieves import floor_sums, mobius_table, phi_table
 
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
@@ -83,9 +83,12 @@ def _survives(prog: Progression, base: Base, d: int, special: bool) -> bool:
 def c_a(n: int, prog: Progression, base: Base) -> int:
     """Indicator that class a mod f survives the level-n condition.
 
-    Defined for squarefree n (callers drop the rest, where the series
-    weight vanishes anyway): the rule in `_survives` on the bucket of n.
+    Defined for squarefree n >= 1 (callers drop the rest, where the
+    series weight vanishes anyway): the rule in `_survives` on the bucket
+    of n.
     """
+    if n < 1 or not is_squarefree(n):
+        raise ValueError(f"n must be squarefree and >= 1, got {n}")
     d = math.gcd(prog.f, n)
     splits = n // d % abs(gamma_factor(prog.f, base)[0]) == 0
     return int(_survives(prog, base, d, _needs_symbol(n, abs(base.delta), splits)))
@@ -153,8 +156,8 @@ def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstima
     (1/sqrt(2) + 1/sqrt(2)) h < 1.42h, both within the bound.  It is
     deliberately loose, trading sharpness for an easy correctness argument.
     """
-    if N < 1:
-        raise ValueError(f"truncation point must be >= 1, got {N}")
+    if not 1 <= N <= X_CAP:
+        raise ValueError(f"need a truncation point 1 <= N <= {X_CAP}, got N={N}")
     base = make_base(g)
     units = sum(
         s

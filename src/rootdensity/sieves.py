@@ -6,8 +6,8 @@ same window shifted by one to factor p - 1 for the primes it found; the
 series evaluator wants Moebius and totient values for every index up to its
 truncation point.  Both tables come from one sieve over the primes up to
 the square root of the limit, which leaves each index with at most one
-larger prime factor to apply.  They are cached together per limit and
-must be treated as read-only by callers.
+larger prime factor to apply.  One cache holds the table pair of the
+last limit asked for, and callers must treat it as read-only.
 
 `density.X_CAP` bounds both the scan's x and the series' N, so the Moebius
 table is int8 and the totient table int32.

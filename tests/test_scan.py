@@ -28,6 +28,7 @@ from rootdensity.scan import (
     _mod_primes,
     _pow_mod,
     _scan_segment,
+    _segment_length,
     is_primitive_root,
     li,
     scan,
@@ -130,10 +131,10 @@ class TestScan:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 3)
-        cfg = dict(segment_size=1 << 12)
-        one = scan(2, 5, 10**5, ScanConfig(workers=1, **cfg))
-        two = scan(2, 5, 10**5, ScanConfig(workers=2, **cfg))
-        three = scan(2, 5, 10**5, ScanConfig(workers=3, **cfg))
+        monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: 1 << 12)
+        one = scan(2, 5, 10**5, ScanConfig(workers=1))
+        two = scan(2, 5, 10**5, ScanConfig(workers=2))
+        three = scan(2, 5, 10**5, ScanConfig(workers=3))
         assert one == two == three
         assert pools == [2, 3]
 
@@ -156,13 +157,14 @@ class TestScan:
                 return map(fn, jobs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        cfg = ScanConfig(segment_size=64, workers=500)
+        monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: 64)
+        cfg = ScanConfig(workers=500)
         # x = 64000 and 10240 make 1000 and 160 segments, 8 per worker for
         # 125 and 20 workers
         for cores, x, want in [(64, 64_000, [64]), (1000, 10_240, [20]), (1, 64_000, [])]:
             sizes.clear()
             monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda n=cores: n)
-            assert scan(2, 4, x, cfg) == scan(2, 4, x, ScanConfig(segment_size=64))
+            assert scan(2, 4, x, cfg) == scan(2, 4, x)
             assert sizes == want
 
     def test_few_segments_run_in_process(self, monkeypatch):
@@ -173,10 +175,42 @@ class TestScan:
         # 2 segments: fewer than 8 per worker
         assert scan(2, 4, 10**5, ScanConfig(workers=2)) == scan(2, 4, 10**5)
 
-    def test_deterministic_across_segment_sizes(self):
+    def test_deterministic_across_segment_sizes(self, monkeypatch):
         for x, sizes in [(30_000, (1 << 10, 1 << 20)), (10**6, (4096, 10007, 1 << 18))]:
-            runs = [scan(-6, 7, x, ScanConfig(segment_size=s)) for s in sizes]
+            runs = []
+            for s in sizes:
+                monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x, s=s: s)
+                runs.append(scan(-6, 7, x))
             assert all(run == runs[0] for run in runs)
+
+    def test_segment_length_from_x(self):
+        xs = [2, 10**5, 5 * 10**6, 2**23 - 1, 2**23, 10**7, 3 * 10**7, X_CAP]
+        lengths = [_segment_length(x) for x in xs]
+        assert all(n & (n - 1) == 0 for n in lengths)
+        assert lengths == sorted(lengths)
+        assert lengths[:3] == [1 << 16] * 3
+        assert lengths[-1] == 1 << 18
+        assert ScanConfig().segment_size == 1 << 16
+        with pytest.raises(TypeError):
+            ScanConfig(segment_size=64)
+
+    def test_longer_segments_split_x(self, monkeypatch):
+        # a stub segment records its bounds; no large scan runs
+        seen = []
+
+        def empty(job):
+            seen.append(job[2:4])
+            return 0, {}, {}, {}
+
+        monkeypatch.setattr(SCAN_MODULE, "_scan_segment", empty)
+        for x in (2**23, 2**23 + 1, X_CAP):
+            seen.clear()
+            length = _segment_length(x)
+            assert length > ScanConfig().segment_size
+            scan(2, 4, x)
+            assert len(seen) == -(-(x - 1) // length)
+            assert seen[0][0] == 2 and seen[-1][1] == x + 1
+            assert all(hi - lo == length for lo, hi in seen[:-1])
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidBaseError):
@@ -188,9 +222,8 @@ class TestScan:
         for f in (0, 10**6 + 1, 10**8 + 1, 2**63):
             with pytest.raises(ValueError):
                 scan(2, f, 1000)
-        for config in (ScanConfig(segment_size=-1), ScanConfig(segment_size=0),
-                       ScanConfig(workers=0), ScanConfig(workers=-2)):
-            with pytest.raises(ValueError, match="segment_size and workers"):
+        for config in (ScanConfig(workers=0), ScanConfig(workers=-2)):
+            with pytest.raises(ValueError, match="workers >= 1"):
                 scan(2, 4, 1000, config)
 
     def test_sampled_hits_have_full_order(self):
@@ -253,12 +286,13 @@ class TestAgainstScalarOracle:
     kronecker and euler_phi, with the exact integer heuristic sum."""
 
     @pytest.mark.parametrize("g", GRID_BASES)
-    def test_grid(self, g):
+    def test_grid(self, g, monkeypatch):
         # only -223092870 (|delta| = 4 * 223092870) takes the Euler pass
         table = _kronecker_table(make_base(g).delta)
         assert (table is None) == (g == -223092870)
         terms = _grid_terms(g)
         li_x = li(GRID_X)
+        default_size = _segment_length(GRID_X)
         for f in GRID_MODULI:
             in_class, hits, heur = _scalar_classes(terms, f)
             want = {
@@ -266,10 +300,11 @@ class TestAgainstScalarOracle:
                                   2.0 * (heur[a] / 2**96), li_x)
                 for a in residues(f)
             }
-            for size in (4096, 10007, ScanConfig().segment_size):
+            for size in (4096, 10007, default_size):
+                monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: size)
                 for workers in (1, 2):
-                    cfg = ScanConfig(segment_size=size, workers=workers)
-                    assert scan(g, f, GRID_X, cfg) == want, (f, cfg)
+                    cfg = ScanConfig(workers=workers)
+                    assert scan(g, f, GRID_X, cfg) == want, (f, size, cfg)
 
     def test_segment_ending_at_cap(self):
         # every residue and every product of two stays below 2^63

@@ -92,6 +92,13 @@ class TestCa:
         assert c_a(3, Progression(2, 3), base) == 0
         assert c_a(3, Progression(1, 3), base) == 1
 
+    def test_rejects_n_below_one_or_not_squarefree(self):
+        base = make_base(2)
+        for n, prog in [(0, Progression(1, 4)), (-3, Progression(1, 4)),
+                        (4, Progression(1, 4)), (12, Progression(1, 3))]:
+            with pytest.raises(ValueError, match="squarefree"):
+                c_a(n, prog, base)
+
     def test_class_sum_collapses_to_single_class(self):
         # sum over a of c_a(n)/degree_f(n) equals the f = 1 series weight
         for g in (2, -3, 8, 21):
@@ -191,11 +198,16 @@ class TestSeriesTruncated:
                     assert abs(bigger.partial_sum - target) <= prev.tail_bound
 
     def test_rejects_nonpositive_truncation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="N=0"):
             series_truncated(Progression(1, 1), 2, N=0)
 
-    def test_rejects_truncation_past_cap(self):
-        with pytest.raises(ValueError):
+    def test_rejects_truncation_past_cap(self, monkeypatch):
+        # checked at the top, naming N, before a table is asked for
+        def no_table(limit):
+            raise AssertionError("a table was built")
+
+        monkeypatch.setattr(series, "mobius_table", no_table)
+        with pytest.raises(ValueError, match=f"N={X_CAP + 1}"):
             series_truncated(Progression(1, 1), 2, N=X_CAP + 1)
 
     def test_estimate_fields(self):
