@@ -14,6 +14,8 @@ the squarefree kernel of g.  The intermediate quantities both routes are
 assembled from (h, the discriminant, b, gamma, the weight w, the Euler
 factor coefficient, the correction sum) are exposed so that every
 identity relating them can be tested as exact rational equality.
+The arithmetic of each closed form is exact in integers and normalised
+once into a `Fraction`.
 """
 
 from __future__ import annotations
@@ -194,15 +196,32 @@ def w(k: int, f: int, h: int) -> int:
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _coeff_A_fixed(f: int, h: int) -> Fraction:
-    # the class-independent part of the coefficient of A in the Euler factor
-    c = Fraction(1)
+def _coeff_A_fixed(f: int, h: int) -> tuple[int, int]:
+    # the class-independent part of the coefficient of A in the Euler
+    # factor, as a (numerator, denominator) pair in lowest terms
+    num = den = 1
     for p in factor(h).primes():
         if f % p:
-            c *= Fraction(p - 2, p - 1)
-    for p in sorted(set(factor(f).primes()) | set(factor(h).primes())):
-        c /= 1 - Fraction(1, p * (p - 1))
-    return c
+            num *= p - 2
+            den *= p - 1
+    for p in set(factor(f).primes()) | set(factor(h).primes()):
+        num *= p * (p - 1)
+        den *= p * (p - 1) - 1
+    common = math.gcd(num, den)
+    return num // common, den // common
+
+
+def _coeff_A_pair(a: int, f: int, h: int) -> tuple[int, int]:
+    # coeff_A as an unreduced pair (num, den) with den > 0; (0, 1) when
+    # gcd(a-1, f, h) > 1
+    m = math.gcd(a - 1, f)
+    if math.gcd(m, h) > 1:
+        return 0, 1
+    num, den = _coeff_A_fixed(f, h)
+    for p in factor(m).primes():
+        num *= p - 1
+        den *= p
+    return num, den
 
 
 def coeff_A(prog: Progression, h: int) -> Fraction:
@@ -213,13 +232,7 @@ def coeff_A(prog: Progression, h: int) -> Fraction:
     renormalized against the full Artin product by exact division over
     the finitely many primes dividing f*h.
     """
-    a, f = prog.a, prog.f
-    if math.gcd(math.gcd(a - 1, f), h) > 1:
-        return Fraction(0)
-    c = _coeff_A_fixed(f, h)
-    for p in factor(math.gcd(a - 1, f)).primes():
-        c *= Fraction(p - 1, p)
-    return c
+    return Fraction(*_coeff_A_pair(prog.a, prog.f, h))
 
 
 def s_of_b(prog: Progression, base: Base) -> Fraction:
@@ -241,20 +254,20 @@ def s_of_b(prog: Progression, base: Base) -> Fraction:
 def delta_closed(prog: Progression, g: int) -> DensityValue:
     """Exact density of the class, via the discriminant route."""
     base = make_base(g)
-    c = coeff_A(prog, base.h)
-    if c == 0:
+    num, den = _coeff_A_pair(prog.a, prog.f, base.h)
+    if num == 0:
         return DensityValue(Fraction(0))
     b, gamma = gamma_factor(prog.f, base)
-    corr = Fraction(1)
     mu2b = mobius(2 * abs(b))
     if mu2b:
         denom = 1
         for p in factor(abs(b)).primes():
             denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-        corr += Fraction(kronecker(gamma, prog.a) * mu2b, denom)
-    coefficient = c * corr / euler_phi(prog.f)
-    assert coefficient >= 0
-    return DensityValue(coefficient)
+        num *= denom + kronecker(gamma, prog.a) * mu2b
+        den *= denom
+    # every factor of den is positive, so this is the sign of the density
+    assert num >= 0
+    return DensityValue(Fraction(num, den * euler_phi(prog.f)))
 
 
 def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
@@ -266,8 +279,8 @@ def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
     so equality with `delta_closed` is a meaningful cross-check.
     """
     base = make_base(g)
-    c = coeff_A(prog, base.h)
-    if c == 0:
+    num, den = _coeff_A_pair(prog.a, prog.f, base.h)
+    if num == 0:
         return DensityValue(Fraction(0))
     f, g1 = prog.f, base.g1
     active = (
@@ -275,7 +288,6 @@ def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
         or (g1 % 4 == 2 and f % 8 == 0)
         or (g1 % 4 == 3 and f % 4 == 0)
     )
-    corr = Fraction(1)
     if active:
         d = math.gcd(abs(g1), f)
         beta = g1 // d
@@ -284,7 +296,7 @@ def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
         denom = 1
         for p in factor(abs(beta)).primes():
             denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-        corr -= Fraction(kronecker(gamma1, prog.a) * mobius(abs(beta)), denom)
-    coefficient = c * corr / euler_phi(f)
-    assert coefficient >= 0
-    return DensityValue(coefficient)
+        num *= denom - kronecker(gamma1, prog.a) * mobius(abs(beta))
+        den *= denom
+    assert num >= 0
+    return DensityValue(Fraction(num, den * euler_phi(f)))

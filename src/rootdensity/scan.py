@@ -73,14 +73,15 @@ class ScanConfig:
     """Scan tuning: worker processes.
 
     The segment length is worked out from x: `_segment_length` gives the
-    base `segment_size` (2^16 numbers) below x = 2^23 and 2^18 from there.
-    Each segment walks the base primes up to sqrt(x) once per sieve, so
-    longer segments are faster at large x: on one worker of a 2-core Xeon,
-    scan(2, 4, x) took 0.57 s with 2^18 against 0.73 s with 2^16 at 10^7,
-    and 6.4 s against 9.6 s at 10^8.  A segment's arrays (sieve flags,
-    int64 arrays per prime and per (p, q) pair) peak near 0.4 MB at 2^16
-    and 1.4 MB at 2^18, and every pool worker holds one.  A pool gets at
-    most `workers` processes, one per usable core and one per
+    base `segment_size` (2^16 numbers) below x = 2^23, 2^18 on [2^23, 2^24)
+    and 2^19 from 2^24.  Each segment walks the base primes up to sqrt(x)
+    once per sieve, so longer segments are faster at large x: on one
+    worker of a 2-core Xeon, scan(2, 4, x) took 0.57 s with 2^18 against
+    0.73 s with 2^16 at 10^7, and 5.9 s with 2^19 against 6.9 s with 2^18
+    at 10^8.  A segment's arrays (sieve flags, int64 arrays per prime and
+    per (p, q) pair) peak near 0.4 MB at 2^16, 1.4 MB at 2^18 and 2.6 MB
+    at 2^19, and every pool worker holds one.  A pool gets at most
+    `workers` processes, one per usable core and one per
     `_JOBS_PER_WORKER` segments; with fewer than two, the segments run in
     process, where they finish before a pool would start.
     """
@@ -223,9 +224,10 @@ def _scan_segment(args: tuple) -> tuple:
 
 def _segment_length(x: int) -> int:
     """The segment length of a scan to x (see `ScanConfig`).  It grows
-    only from 2^23, where there are at least 32 segments of 2^18, so a
-    pool of up to four workers starts wherever it did with 2^16."""
-    return ScanConfig.segment_size << (2 if x >= 1 << 23 else 0)
+    only from 2^23, where there are at least 32 segments of 2^18, and
+    again from 2^24, where there are at least 32 of 2^19, so a pool of up
+    to four workers starts wherever it did with 2^16."""
+    return ScanConfig.segment_size << (3 if x >= 1 << 24 else 2 if x >= 1 << 23 else 0)
 
 
 def _usable_cores() -> int:

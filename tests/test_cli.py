@@ -1,9 +1,12 @@
 import csv
+import hashlib
 import importlib
 import io
 import json
 import os
 from fractions import Fraction
+
+import pytest
 
 from rootdensity import cli
 from rootdensity.cli import main
@@ -96,6 +99,20 @@ class TestDensityCommand:
     def test_digits_flag(self, capsys):
         _, out, _ = run_cli(capsys, "density", "-g", "2", "--digits", "30", "--format", "csv")
         assert parse_csv(out)[0]["numeric"] == "0.373955813619202288054728054346"
+
+    @pytest.mark.parametrize("argv,digest", [
+        (["density", "-g", "-3", "-f", "5040", "--format", "csv"],
+         "d24d0777b4b99676521e3d0ad848d976bdebbfdfec1cb701e1fb6daf34f2ed18"),
+        # g = 21**7, the exceptional base
+        (["density", "-g", "1801088541", "-f", "720", "--method", "closed_v2", "--format", "json"],
+         "7c052d74e50559408681305d6c15291c738bf519aad624c23a3a61a7339e694d"),
+    ])
+    def test_stdout_bytes_pinned(self, capsys, argv, digest):
+        # sha256 of stdout as the Fraction-chain closed forms printed it:
+        # every coefficient string of 1152 and 192 classes, byte for byte
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestVerifyCommand:

@@ -8,11 +8,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rootdensity.arith import euler_phi, is_fundamental_discriminant, kronecker
+from rootdensity.arith import euler_phi, factor, is_fundamental_discriminant, kronecker, mobius
 from rootdensity.density import (
     ARTIN_CONSTANT,
     ARTIN_CONSTANT_30_DIGITS,
     DensityValue,
+    _coeff_A_fixed,
     InvalidBaseError,
     Progression,
     coeff_A,
@@ -276,6 +277,84 @@ class TestDeltaClosed:
         assert c1 == c2
         assert c1 >= 0
         assert float(DensityValue(c1)) < 1
+
+
+# The closed forms as first written, one Fraction per factor: an oracle for
+# the integer-pair arithmetic the package now does.
+def _fraction_chain_fixed(f, h):
+    c = Fraction(1)
+    for p in factor(h).primes():
+        if f % p:
+            c *= Fraction(p - 2, p - 1)
+    for p in sorted(set(factor(f).primes()) | set(factor(h).primes())):
+        c /= 1 - Fraction(1, p * (p - 1))
+    return c
+
+
+def _fraction_chain_coeff_A(prog, h):
+    a, f = prog.a, prog.f
+    if math.gcd(math.gcd(a - 1, f), h) > 1:
+        return Fraction(0)
+    c = _fraction_chain_fixed(f, h)
+    for p in factor(math.gcd(a - 1, f)).primes():
+        c *= Fraction(p - 1, p)
+    return c
+
+
+def _fraction_chain_delta_closed(prog, g):
+    base = make_base(g)
+    c = _fraction_chain_coeff_A(prog, base.h)
+    if c == 0:
+        return Fraction(0)
+    b, gamma = gamma_factor(prog.f, base)
+    corr = Fraction(1)
+    mu2b = mobius(2 * abs(b))
+    if mu2b:
+        denom = 1
+        for p in factor(abs(b)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+        corr += Fraction(kronecker(gamma, prog.a) * mu2b, denom)
+    return c * corr / euler_phi(prog.f)
+
+
+def _fraction_chain_delta_closed_v2(prog, g):
+    base = make_base(g)
+    c = _fraction_chain_coeff_A(prog, base.h)
+    if c == 0:
+        return Fraction(0)
+    f, g1 = prog.f, base.g1
+    corr = Fraction(1)
+    if g1 % 4 == 1 or (g1 % 4 == 2 and f % 8 == 0) or (g1 % 4 == 3 and f % 4 == 0):
+        d = math.gcd(abs(g1), f)
+        beta = g1 // d
+        gamma1 = d if ((beta - 1) // 2) % 2 == 0 else -d
+        denom = 1
+        for p in factor(abs(beta)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+        corr -= Fraction(kronecker(gamma1, prog.a) * mobius(abs(beta)), denom)
+    return c * corr / euler_phi(f)
+
+
+class TestIntegerArithmetic:
+    @pytest.mark.parametrize(
+        "g", [2, -3, 5, 12, -8, 21**7, -(3**7), 1000003 * 1000117]
+    )
+    def test_equals_fraction_chain(self, g):
+        h = make_base(g).h
+        for f in range(1, 121):
+            for a in residues(f):
+                prog = Progression(a, f)
+                assert coeff_A(prog, h) == _fraction_chain_coeff_A(prog, h), (a, f)
+                assert delta_closed(prog, g).coefficient == _fraction_chain_delta_closed(prog, g), (a, f)
+                assert delta_closed_v2(prog, g).coefficient == _fraction_chain_delta_closed_v2(prog, g), (a, f)
+
+    def test_fixed_part_in_lowest_terms(self):
+        for h in (1, 3, 7, 15, 105):
+            for f in range(1, 121):
+                num, den = _coeff_A_fixed(f, h)
+                assert type(num) is int and type(den) is int
+                assert den > 0 and math.gcd(num, den) == 1
+                assert Fraction(num, den) == _fraction_chain_fixed(f, h), (f, h)
 
 
 def _artin_constant_mpmath(dps: int) -> mpmath.mpf:

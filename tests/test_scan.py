@@ -189,7 +189,7 @@ class TestScan:
         assert all(n & (n - 1) == 0 for n in lengths)
         assert lengths == sorted(lengths)
         assert lengths[:3] == [1 << 16] * 3
-        assert lengths[-1] == 1 << 18
+        assert lengths[-1] == 1 << 19
         assert ScanConfig().segment_size == 1 << 16
         with pytest.raises(TypeError):
             ScanConfig(segment_size=64)
