@@ -13,9 +13,9 @@ from rootdensity.density import (
     ARTIN_CONSTANT,
     ARTIN_CONSTANT_30_DIGITS,
     DensityValue,
-    _coeff_A_fixed,
     InvalidBaseError,
     Progression,
+    _coeff_A_fixed,
     coeff_A,
     delta_closed,
     delta_closed_v2,
