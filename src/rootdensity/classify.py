@@ -10,9 +10,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 from .arith import kronecker
-from .density import Progression, make_base
+from .density import _CONTEXT_CACHE_SIZE, Progression, make_base
 
 __all__ = ["WudFamily", "WudVerdict", "ZeroCause", "ZeroReason", "wud_set", "zero_density"]
 
@@ -29,6 +30,26 @@ class ZeroReason:
     cases: frozenset[ZeroCause]
 
 
+# The reason for each 3-bit cause mask: bit i stands for the i-th ZeroCause.
+_ZERO_REASONS = tuple(
+    ZeroReason(
+        triggered=mask != 0,
+        cases=frozenset(cause for i, cause in enumerate(ZeroCause) if mask >> i & 1),
+    )
+    for mask in range(8)
+)
+
+
+@lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
+def _zero_context(f: int, g: int) -> tuple[int, int, bool, bool]:
+    # h, delta, whether |delta| divides f, and the cubic precondition
+    # (delta divides 3f, 3 | delta and 3 | h)
+    base = make_base(g)
+    abs_delta = abs(base.delta)
+    cubic = (3 * f) % abs_delta == 0 and base.delta % 3 == 0 and base.h % 3 == 0
+    return base.h, base.delta, f % abs_delta == 0, cubic
+
+
 def zero_density(prog: Progression, g: int) -> ZeroReason:
     """Every structural reason the class density vanishes (possibly none).
 
@@ -36,22 +57,16 @@ def zero_density(prog: Progression, g: int) -> ZeroReason:
     discriminant divides f and (delta | a) = 1; or delta divides 3f with
     3 | delta, 3 | h and (-delta/3 | a) = -1.
     """
-    base = make_base(g)
-    a, f = prog.a, prog.f
-    causes = set()
-    if math.gcd(math.gcd(a - 1, f), base.h) > 1:
-        causes.add(ZeroCause.ELEMENTARY_GCD)
-    abs_delta = abs(base.delta)
-    if f % abs_delta == 0 and kronecker(base.delta, a) == 1:
-        causes.add(ZeroCause.DISCRIMINANT_SPLITS)
-    if (
-        (3 * f) % abs_delta == 0
-        and base.delta % 3 == 0
-        and base.h % 3 == 0
-        and kronecker(-base.delta // 3, a) == -1
-    ):
-        causes.add(ZeroCause.CUBIC_OBSTRUCTION)
-    return ZeroReason(triggered=bool(causes), cases=frozenset(causes))
+    h, delta, splits, cubic = _zero_context(prog.f, g)
+    a = prog.a
+    mask = 0
+    if math.gcd(a - 1, prog.f, h) > 1:
+        mask = 1
+    if splits and kronecker(delta, a) == 1:
+        mask |= 2
+    if cubic and kronecker(-delta // 3, a) == -1:
+        mask |= 4
+    return _ZERO_REASONS[mask]
 
 
 class WudFamily(Enum):

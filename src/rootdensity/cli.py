@@ -17,7 +17,7 @@ import csv
 import json
 import os
 import sys
-from decimal import Decimal, localcontext
+from decimal import ROUND_CEILING, ROUND_HALF_EVEN, Decimal, localcontext
 
 from .classify import wud_set, zero_density
 from .density import (
@@ -45,9 +45,10 @@ def _classes(args) -> list[Progression]:
     return [Progression(a, args.f) for a in classes]
 
 
-def _sig_decimal(value: Decimal, digits: int) -> str:
+def _sig_decimal(value: Decimal, digits: int, rounding: str = ROUND_HALF_EVEN) -> str:
     with localcontext() as ctx:
         ctx.prec = digits
+        ctx.rounding = rounding
         return str(+value)
 
 
@@ -91,9 +92,15 @@ def cmd_density(args) -> int:
     make_base(args.g)
     compute = delta_closed_v2 if args.method == "closed_v2" else delta_closed
     rows = []
+    # a modulus has at most 2 * tau(f) distinct coefficients: render each once
+    records = {}
     for prog in _classes(args):
         dv = compute(prog, args.g)
-        rows.append(_density_record(args.g, args.f, prog.a, dv, args.method, args.digits))
+        record = records.get(dv.coefficient)
+        if record is None:
+            record = records[dv.coefficient] = _density_record(
+                args.g, args.f, prog.a, dv, args.method, args.digits)
+        rows.append({**record, "a": str(prog.a)})
     _emit(rows, RECORD_COLUMNS, args.format, sys.stdout)
     return 0
 
@@ -125,7 +132,8 @@ def cmd_verify(args) -> int:
         rows.append(_density_record(
             args.g, args.f, a, dv, "series", args.digits,
             value=_sig_decimal(est.partial_sum, args.digits),
-            error=_sig_decimal(est.tail_bound, args.digits),
+            # rounded up: the printed bound is never below the one checked
+            error=_sig_decimal(est.tail_bound, args.digits, ROUND_CEILING),
         ))
 
         observed = count.hits / count.primes_total

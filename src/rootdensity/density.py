@@ -16,6 +16,18 @@ factor coefficient, the correction sum) are exposed so that every
 identity relating them can be tested as exact rational equality.
 The arithmetic of each closed form is exact in integers and normalised
 once into a `Fraction`.
+
+The density of a mod f depends on a only through gcd(a-1, f) and one
+Kronecker symbol, so a modulus has at most 2 * tau(f) distinct
+coefficients.  Each closed form keeps its own private context per
+(f, g) holding everything that does not depend on a, and the context
+memoises the value of each (gcd, symbol) pair; a class then costs a gcd,
+at most one Kronecker symbol and a dict lookup.  `classify.zero_density`
+keeps a context of its own too.  The contexts of each function are
+bounded at 64, well below the scalar
+caches, because their memos hold density values: every caller walks the
+classes of one (f, g) in a row, and a bound of 2**16 raised the peak RSS
+of the benchmark's exact-grid workload by about a third with no gain.
 """
 
 from __future__ import annotations
@@ -251,23 +263,102 @@ def s_of_b(prog: Progression, base: Base) -> Fraction:
     return Fraction(-mobius(2 * abs(b)), denom) * coeff_A(prog, base.h)
 
 
-def delta_closed(prog: Progression, g: int) -> DensityValue:
-    """Exact density of the class, via the discriminant route."""
-    base = make_base(g)
-    num, den = _coeff_A_pair(prog.a, prog.f, base.h)
-    if num == 0:
+# Bound of each per-(f, g) context cache below.  Every caller walks the
+# classes of one (f, g) in a row (the CLI's density, verify, scan and
+# classify, and a grid of classes), so a few dozen contexts serve them all.
+# The bound is set by memory, not hits: on the benchmark's exact-grid
+# workload (seed 7: every class of f <= 60 for each of 53 bases)
+# contexts bounded at _CACHE_SIZE gave a peak RSS of 34.5 MB, against
+# 25.5 MB at 64, and ran slower.  A context's memo holds at most
+# 2 * tau(f) values, so at most 64 * 2 * tau(f) density values per
+# function are live at any time.
+_CONTEXT_CACHE_SIZE = 64
+
+
+@dataclass(frozen=True)
+class _Context:
+    """The class-independent part of one closed form at one (f, g).
+
+    The density of a mod f depends on a only through m = gcd(a-1, f) and
+    one Kronecker symbol chi = (top | a), which is read only when the
+    correction weight mu is nonzero.  num/den is the coefficient of A at
+    m = 1 divided by phi(f), and denom is the correction's denominator;
+    memo maps (m, chi) to the density value.
+    """
+
+    h: int
+    num: int
+    den: int
+    primes: tuple[int, ...]
+    top: int
+    mu: int
+    denom: int
+    memo: dict[tuple[int, int], DensityValue]
+
+
+def _memo_value(ctx: _Context, m: int, correction: int) -> DensityValue:
+    # the density at gcd(a-1, f) = m: (p-1)/p for each prime of f dividing
+    # m, then the factor (denom + correction) / denom
+    if math.gcd(m, ctx.h) > 1:
         return DensityValue(Fraction(0))
-    b, gamma = gamma_factor(prog.f, base)
-    mu2b = mobius(2 * abs(b))
-    if mu2b:
-        denom = 1
-        for p in factor(abs(b)).primes():
-            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-        num *= denom + kronecker(gamma, prog.a) * mu2b
-        den *= denom
+    num, den = ctx.num, ctx.den
+    for p in ctx.primes:
+        if m % p == 0:
+            num *= p - 1
+            den *= p
+    num *= ctx.denom + correction
+    den *= ctx.denom
     # every factor of den is positive, so this is the sign of the density
     assert num >= 0
-    return DensityValue(Fraction(num, den * euler_phi(prog.f)))
+    return DensityValue(Fraction(num, den))
+
+
+@lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
+def _closed_context(f: int, g: int) -> _Context:
+    base = make_base(g)
+    num, den = _coeff_A_fixed(f, base.h)
+    b, gamma = gamma_factor(f, base)
+    mu2b = mobius(2 * abs(b))
+    denom = 1
+    if mu2b:
+        for p in factor(abs(b)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+    return _Context(base.h, num, den * euler_phi(f), factor(f).primes(), gamma, mu2b, denom, {})
+
+
+def delta_closed(prog: Progression, g: int) -> DensityValue:
+    """Exact density of the class, via the discriminant route."""
+    ctx = _closed_context(prog.f, g)
+    a = prog.a
+    m = math.gcd(a - 1, prog.f)
+    chi = kronecker(ctx.top, a) if ctx.mu else 0
+    value = ctx.memo.get((m, chi))
+    if value is None:
+        value = ctx.memo[m, chi] = _memo_value(ctx, m, chi * ctx.mu)
+    return value
+
+
+@lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
+def _closed_v2_context(f: int, g: int) -> _Context:
+    base = make_base(g)
+    num, den = _coeff_A_fixed(f, base.h)
+    g1 = base.g1
+    active = (
+        g1 % 4 == 1
+        or (g1 % 4 == 2 and f % 8 == 0)
+        or (g1 % 4 == 3 and f % 4 == 0)
+    )
+    gamma1 = mu_beta = 0
+    denom = 1
+    if active:
+        d = math.gcd(abs(g1), f)
+        beta = g1 // d
+        assert beta % 2 != 0
+        gamma1 = d if ((beta - 1) // 2) % 2 == 0 else -d
+        mu_beta = mobius(abs(beta))
+        for p in factor(abs(beta)).primes():
+            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
+    return _Context(base.h, num, den * euler_phi(f), factor(f).primes(), gamma1, mu_beta, denom, {})
 
 
 def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
@@ -278,25 +369,11 @@ def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
     recomputed from those congruences rather than from the parity of b,
     so equality with `delta_closed` is a meaningful cross-check.
     """
-    base = make_base(g)
-    num, den = _coeff_A_pair(prog.a, prog.f, base.h)
-    if num == 0:
-        return DensityValue(Fraction(0))
-    f, g1 = prog.f, base.g1
-    active = (
-        g1 % 4 == 1
-        or (g1 % 4 == 2 and f % 8 == 0)
-        or (g1 % 4 == 3 and f % 4 == 0)
-    )
-    if active:
-        d = math.gcd(abs(g1), f)
-        beta = g1 // d
-        assert beta % 2 != 0
-        gamma1 = d if ((beta - 1) // 2) % 2 == 0 else -d
-        denom = 1
-        for p in factor(abs(beta)).primes():
-            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-        num *= denom - kronecker(gamma1, prog.a) * mobius(abs(beta))
-        den *= denom
-    assert num >= 0
-    return DensityValue(Fraction(num, den * euler_phi(f)))
+    ctx = _closed_v2_context(prog.f, g)
+    a = prog.a
+    m = math.gcd(a - 1, prog.f)
+    chi = kronecker(ctx.top, a) if ctx.mu else 0
+    value = ctx.memo.get((m, chi))
+    if value is None:
+        value = ctx.memo[m, chi] = _memo_value(ctx, m, -chi * ctx.mu)
+    return value

@@ -4,6 +4,7 @@ import importlib
 import io
 import json
 import os
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -187,6 +188,22 @@ class TestVerifyCommand:
         assert code == 0, err
         series_row = [r for r in parse_csv(out) if r["method"] == "series"][0]
         assert float(series_row["error"]) > 0.5
+
+
+    def test_series_error_not_below_tail_bound(self, capsys):
+        # g = 8 has h = 3: the tail bound at N = 10^4 is 3 * sqrt(8) / 100 = 0.0848...
+        from rootdensity import Progression, series_truncated
+
+        tail_bound = series_truncated(Progression(1, 1), 8, 10**4).tail_bound
+        for digits in (1, 2, 3, 7, 12):
+            _, out, _ = run_cli(
+                capsys, "verify", "-g", "8", "-f", "1", "-N", "10000", "-x", "10000",
+                "--digits", str(digits), "--tol", "1", "--threads", "1", "--format", "csv",
+            )
+            series_row = [r for r in parse_csv(out) if r["method"] == "series"][0]
+            assert Decimal(series_row["error"]) >= tail_bound, digits
+            if digits == 1:
+                assert series_row["error"] == "0.09"
 
 
 class TestClassifyCommand:

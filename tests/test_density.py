@@ -1,4 +1,5 @@
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -9,12 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rootdensity.arith import euler_phi, factor, is_fundamental_discriminant, kronecker, mobius
+from rootdensity.classify import ZeroCause, _zero_context, zero_density
 from rootdensity.density import (
     ARTIN_CONSTANT,
     ARTIN_CONSTANT_30_DIGITS,
     DensityValue,
     InvalidBaseError,
     Progression,
+    _closed_context,
+    _closed_v2_context,
     _coeff_A_fixed,
     coeff_A,
     delta_closed,
@@ -262,6 +266,17 @@ class TestDeltaClosed:
                 )
                 assert total == d11
 
+    @pytest.mark.parametrize("g", [2, -3, 5, 21**7])
+    def test_partition_every_class_of_5040(self, g):
+        # a memo keyed by gcd(a-1, f) alone, or by the symbol alone, breaks
+        # this identity: classes sharing a key have different densities
+        for route in (delta_closed, delta_closed_v2):
+            total = sum(
+                (route(Progression(a, 5040), g).coefficient for a in residues(5040)),
+                Fraction(0),
+            )
+            assert total == route(Progression(1, 1), g).coefficient
+
     @given(
         st.sampled_from(admissible_bases(-30, 30)),
         st.integers(min_value=1, max_value=30),
@@ -355,6 +370,49 @@ class TestIntegerArithmetic:
                 assert type(num) is int and type(den) is int
                 assert den > 0 and math.gcd(num, den) == 1
                 assert Fraction(num, den) == _fraction_chain_fixed(f, h), (f, h)
+
+
+# zero_density's per-class rules as first written: an oracle for the
+# per-(f, g) context and the prebuilt reasons
+def _zero_density_rules(prog, g):
+    base = make_base(g)
+    a, f = prog.a, prog.f
+    causes = set()
+    if math.gcd(math.gcd(a - 1, f), base.h) > 1:
+        causes.add(ZeroCause.ELEMENTARY_GCD)
+    abs_delta = abs(base.delta)
+    if f % abs_delta == 0 and kronecker(base.delta, a) == 1:
+        causes.add(ZeroCause.DISCRIMINANT_SPLITS)
+    if (
+        (3 * f) % abs_delta == 0
+        and base.delta % 3 == 0
+        and base.h % 3 == 0
+        and kronecker(-base.delta // 3, a) == -1
+    ):
+        causes.add(ZeroCause.CUBIC_OBSTRUCTION)
+    return bool(causes), frozenset(causes)
+
+
+class TestContexts:
+    def test_eviction_and_call_order(self):
+        # 720 (f, g) pairs visited class by class in a shuffled order, so
+        # contexts are evicted and rebuilt between classes of one modulus
+        bases = [2, -3, 12, 21**7, -(3**7), 1000003 * 1000117]
+        contexts = (_closed_context, _closed_v2_context, _zero_context)
+        for context in contexts:
+            context.cache_clear()
+        triples = [(g, f, a) for g in bases for f in range(1, 121) for a in residues(f)]
+        random.Random(16).shuffle(triples)
+        for g, f, a in triples:
+            prog = Progression(a, f)
+            assert delta_closed(prog, g).coefficient == _fraction_chain_delta_closed(prog, g), (g, a, f)
+            assert delta_closed_v2(prog, g).coefficient == _fraction_chain_delta_closed_v2(prog, g), (g, a, f)
+            reason = zero_density(prog, g)
+            assert (reason.triggered, reason.cases) == _zero_density_rules(prog, g), (g, a, f)
+        for context in contexts:
+            info = context.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+            assert info.misses > len(bases) * 120  # some pairs were built again
 
 
 def _artin_constant_mpmath(dps: int) -> mpmath.mpf:
