@@ -23,11 +23,11 @@ coefficients.  Each closed form keeps its own private context per
 (f, g) holding everything that does not depend on a, and the context
 memoises the value of each (gcd, symbol) pair; a class then costs a gcd,
 at most one Kronecker symbol and a dict lookup.  `classify.zero_density`
-keeps a context of its own too.  The contexts of each function are
-bounded at 64, well below the scalar
-caches, because their memos hold density values: every caller walks the
-classes of one (f, g) in a row, and a bound of 2**16 raised the peak RSS
-of the benchmark's exact-grid workload by about a third with no gain.
+keeps a context of its own too.  Each function keeps at most 64
+contexts, far fewer than the scalar caches, because the memos hold
+density values: every caller walks the classes of one (f, g) in a row,
+and a bound of 2**16 raised the peak RSS of the benchmark's exact-grid
+workload by about a third with no gain.
 """
 
 from __future__ import annotations
