@@ -189,7 +189,6 @@ class TestVerifyCommand:
         series_row = [r for r in parse_csv(out) if r["method"] == "series"][0]
         assert float(series_row["error"]) > 0.5
 
-
     def test_series_error_not_below_tail_bound(self, capsys):
         # g = 8 has h = 3: the tail bound at N = 10^4 is 3 * sqrt(8) / 100 = 0.0848...
         from rootdensity import Progression, series_truncated
