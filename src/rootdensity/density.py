@@ -123,12 +123,15 @@ def make_base(g: int) -> Base:
 
 @dataclass(frozen=True)
 class Progression:
-    """Residue class a mod f with 1 <= a <= f and gcd(a, f) = 1."""
+    """Residue class a mod f with 1 <= a <= f <= 2**63 and gcd(a, f) = 1:
+    the closed forms factor f."""
 
     a: int
     f: int
 
     def __post_init__(self) -> None:
+        if self.f > _FACTOR_CAP:
+            raise ValueError(f"modulus {self.f} rejected: f > 2**63 is too large to factor")
         if self.f < 1 or not 1 <= self.a <= self.f:
             raise ValueError(f"need 1 <= a <= f, got a={self.a}, f={self.f}")
         if math.gcd(self.a, self.f) != 1:

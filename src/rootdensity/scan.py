@@ -20,10 +20,13 @@ Each segment is array work, with no loop over its primes:
 - For the rest, sieving the shifted window of the values p - 1
   (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
   phi(p - 1).
-- One square-and-multiply over all pairs (p, q) with q odd decides
-  g^((p-1)/q) != 1.  It runs in int64: residues are below p <= X_CAP =
-  10^8 < 2^27 (`density.X_CAP`, which also bounds the series' N), so the
-  product of two is below 2^54 and never wraps.
+- One modular power over all pairs (p, q) with q odd decides
+  g^((p-1)/q) != 1, by `_pow_mod`: left to right in 3-bit windows, from a
+  table of g^0 .. g^7 mod p per pair, so each 3 bits of the exponent cost
+  three squarings and one table multiply.  It runs in int64: residues
+  are below p <= X_CAP = 10^8 < 2^27 (`density.X_CAP`, which also bounds
+  the series' N), so the table fits int32 and the product of two
+  residues is below 2^54 and never wraps.
 - Per-class counts come from np.bincount, and `sieves.floor_sums` adds
   the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
 
@@ -61,6 +64,10 @@ _HEUR_BITS = 96
 # so this bounds it at a few ms and 4 KB per scan
 _TABLE_CAP = 1 << 12
 
+# bits per digit of `_pow_mod`'s exponent: on the pairs of one segment at
+# 5*10^6 and 3*10^7, 3 bits beat 2 by 2-9 % and 4 by 25-30 % (2-vCPU Xeon)
+_WINDOW = 3
+
 # a pool pays for its start-up only with at least this many segments per worker
 _JOBS_PER_WORKER = 8
 
@@ -79,8 +86,9 @@ class ScanConfig:
     worker of a 2-core Xeon, scan(2, 4, x) took 0.57 s with 2^18 against
     0.73 s with 2^16 at 10^7, and 5.9 s with 2^19 against 6.9 s with 2^18
     at 10^8.  A segment's arrays (sieve flags, int64 arrays per prime and
-    per (p, q) pair) peak near 0.4 MB at 2^16, 1.4 MB at 2^18 and 2.6 MB
-    at 2^19, and every pool worker holds one.  A pool gets at most
+    per (p, q) pair, and `_pow_mod`'s int32 table of 32 bytes per pair)
+    peak near 0.6 MB at 2^16, 2.3 MB at 2^18 and 4.5 MB at 2^19 (by
+    tracemalloc), and every pool worker holds one.  A pool gets at most
     `workers` processes, one per usable core and one per
     `_JOBS_PER_WORKER` segments; with fewer than two, the segments run in
     process, where they finish before a pool would start.
@@ -138,22 +146,51 @@ def is_primitive_root(g: int, p: int) -> bool:
 
 
 def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise by square-and-multiply over int64 arrays,
-    for 0 <= base < mod, exp >= 0 and mod**2 < 2**63, so that no product
-    of two residues overflows.  Overwrites base and exp."""
-    result = np.ones_like(base)
-    product = np.empty_like(base)
-    odd = np.empty(len(base), dtype=bool)
-    bits = int(exp.max()).bit_length() if len(exp) else 0
-    for bit in range(bits):
-        if bit:
-            np.multiply(base, base, out=base)
-            np.remainder(base, mod, out=base)
-            exp >>= 1
-        np.bitwise_and(exp, 1, out=odd, casting="unsafe")
-        np.multiply(result, base, out=product)
-        np.remainder(product, mod, out=product)
-        np.copyto(result, product, where=odd)
+    """base**exp % mod elementwise over int64 arrays, for 0 <= base < mod
+    <= 2**31 and exp >= 0; base and exp are not modified.
+
+    Left to right in fixed 3-bit windows (_WINDOW): a table of base^0 ..
+    base^7 per element gives the leading digit of exp, and each later
+    digit costs three squarings and one multiply by a table entry, where
+    binary square-and-multiply pays a square, a multiply and two
+    remainders per bit.  The table is int32, as mod <= 2**31 bounds every
+    residue: 32 bytes per element.  A product of two residues is below
+    mod**2 <= 2**62, so no product wraps int64.
+    """
+    n = len(base)
+    result = np.ones(n, dtype=np.int64)
+    bits = int(exp.max()).bit_length() if n else 0
+    if not bits:
+        return result
+    size = 1 << _WINDOW
+    table = np.empty((n, size), dtype=np.int32)
+    table[:, 0] = 1
+    table[:, 1] = base
+    result[:] = base
+    for k in range(2, size):
+        result *= base
+        result %= mod
+        table[:, k] = result
+    flat = table.ravel()
+    rows = np.arange(0, n * size, size)
+    digit = np.empty(n, dtype=np.intp)
+    entry = np.empty(n, dtype=np.int32)
+    shift = (bits - 1) // _WINDOW * _WINDOW
+    np.right_shift(exp, shift, out=digit)
+    digit += rows
+    np.take(flat, digit, out=entry)
+    result[:] = entry
+    while shift:
+        shift -= _WINDOW
+        for _ in range(_WINDOW):
+            result *= result
+            result %= mod
+        np.right_shift(exp, shift, out=digit)
+        digit &= size - 1
+        digit += rows
+        np.take(flat, digit, out=entry)
+        result *= entry
+        result %= mod
     return result
 
 
@@ -204,7 +241,7 @@ def _scan_segment(args: tuple) -> tuple:
     # (g|p) = -1 is both the q = 2 order test and the heuristic's filter;
     # without a table, Euler's criterion g^((p-1)/2) = (g|p) = +-1 decides it
     if table is None:
-        keep = _pow_mod(gp.copy(), p >> 1, p) == p - 1
+        keep = _pow_mod(gp, p >> 1, p) == p - 1
     else:
         keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]

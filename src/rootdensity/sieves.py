@@ -16,11 +16,17 @@ table is int8 and the totient table int32.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from functools import lru_cache
 
 import numpy as np
 
 from .density import X_CAP
+
+# `_sieve_divisors` strides one slice per odd base prime below this and
+# batches the rest; caps from 32 to 128 were level on a 2^16-number
+# segment at 5*10^6, and 3 (no slices) took twice as long
+_STRIDE_CAP = 64
 
 
 def prime_sieve(limit: int) -> np.ndarray:
@@ -81,9 +87,17 @@ def _sieve_divisors(
     ns: np.ndarray, base_primes: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (idx, q) of the primes q <= sqrt(max(ns) - 1) dividing
-    ns[idx] - 1, for sorted odd ns: 2 divides every n - 1, and each odd q
-    strides over the odd numbers from ns[0] to ns[-1], visiting the
-    positions of ns only."""
+    ns[idx] - 1, for sorted odd ns, grouped by q ascending.
+
+    2 divides every n - 1.  An odd q divides n - 1 for n = lo + 2t
+    exactly when t = (1 - lo) / 2 (mod q), so each q strides over the odd
+    numbers from lo = ns[0] to ns[-1] and keeps the positions of ns.  The
+    q below _STRIDE_CAP stride one slice each; all larger q, whose slices
+    are short and would cost a Python iteration each, stride in one batch:
+    one int32 array of every position of every q, built by a cumulative
+    sum of steps, one gather and one mask.  A kept position's q is that of
+    the run it falls in.
+    """
     n = len(ns)
     if not n:
         return np.zeros(0, dtype=np.int32), np.zeros(0, dtype=np.int32)
@@ -92,17 +106,33 @@ def _sieve_divisors(
     half = (ns - lo) >> 1
     where = np.full(int(half[-1]) + 1, -1, dtype=np.int32)
     where[half] = np.arange(n, dtype=np.int32)
+    t0 = (1 - lo) // 2
+    split = bisect_left(base_primes, _STRIDE_CAP)
+    end = bisect_right(base_primes, math.isqrt(top))
     parts, used = [np.arange(n, dtype=np.int32)], [2]
-    for q in base_primes:
-        if q * q > top:
-            break
-        if q > 2:
-            # q | n - 1 for n = lo + 2t iff t = (1 - lo) / 2 (mod q)
-            hit = where[(1 - lo) // 2 % q :: q]
-            parts.append(hit[hit >= 0])
-            used.append(q)
+    for q in base_primes[1 : min(split, end)]:
+        hit = where[t0 % q :: q]
+        parts.append(hit[hit >= 0])
+        used.append(q)
     q = np.repeat(np.array(used, dtype=np.int32), [len(part) for part in parts])
-    return np.concatenate(parts), q
+    big = np.array(base_primes[split:end], dtype=np.int32)
+    start = t0 % big
+    # a q whose first position lies past the window has an empty run
+    live = start < len(where)
+    big, start = big[live], start[live]
+    count = (len(where) - 1 - start) // big + 1
+    # q's run of positions is start, start + q, ...: every step is q but
+    # a run's first, which jumps from the last position of the run before
+    pos = np.repeat(big, count)
+    ends = np.cumsum(count)
+    first = ends - count
+    pos[first] = start
+    pos[first[1:]] -= (start + (count - 1) * big)[:-1]
+    np.cumsum(pos, out=pos)
+    hit = where[pos]
+    keep = np.flatnonzero(hit >= 0)
+    q_big = big[np.searchsorted(ends, keep, side="right")]
+    return np.concatenate([*parts, hit[keep]]), np.concatenate([q, q_big])
 
 
 def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:

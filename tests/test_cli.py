@@ -91,6 +91,12 @@ class TestDensityCommand:
         assert code == 2
         assert err.startswith("error:")
 
+    def test_modulus_too_large_to_factor_rejected(self, capsys):
+        for a in ("1", "5"):
+            code, out, err = run_cli(capsys, "density", "-g", "8", "-f", str(3 * 2**64), "-a", a)
+            assert code == 2 and out == ""
+            assert f"modulus {3 * 2**64} rejected: f > 2**63 is too large to factor" in err
+
     def test_single_class_of_huge_modulus(self, capsys):
         code, out, _ = run_cli(capsys, "density", "-g", "2", "-f", str(10**12), "-a", "1",
                                "--format", "csv")

@@ -349,6 +349,11 @@ class TestArrayKernels:
                               st.integers(0, 2**27)), min_size=1, max_size=40))
     @example([(99999989, 99999988, 99999988), (99999989, 99999987, 2**27 - 1),
               (99999971, 0, 0), (2, 1, 1)])
+    # exponents of every bit length mod 3, so leading window digits of
+    # one, two and three bits, and the empty array
+    @example([(99999989, 12345678, e) for e in range(9)])
+    @example([(99999971, 3, 2**k + d) for k in range(1, 28) for d in (-1, 1)])
+    @example([])
     @settings(max_examples=200, deadline=None)
     def test_pow_mod_against_pow(self, rows):
         mod = np.array([m for m, _, _ in rows], dtype=np.int64)
@@ -356,6 +361,9 @@ class TestArrayKernels:
         exp = np.array([e for _, _, e in rows], dtype=np.int64)
         want = [pow(int(b), int(e), int(m)) for m, b, e in zip(mod, base, exp)]
         assert _pow_mod(base, exp, mod).tolist() == want
+        # the inputs are left as they were
+        assert base.tolist() == [b % m for m, b, _ in rows]
+        assert exp.tolist() == [e for _, _, e in rows]
 
     @given(st.integers(1, X_CAP // 2 - 1000),
            st.lists(st.integers(0, 999), min_size=1, max_size=60, unique=True))
@@ -371,6 +379,19 @@ class TestArrayKernels:
         want = sorted((i, r) for i, n in enumerate(ns) for r in factor(n - 1).primes())
         assert pairs == want
         assert phi.tolist() == [euler_phi(n - 1) for n in ns]
+
+    def test_factor_predecessors_on_a_full_window_at_cap(self):
+        # the primes of one 2^16-number window below X_CAP: every base
+        # prime q from 64 to sqrt(X_CAP) = 10^4 strides it several times
+        lo, hi = X_CAP + 1 - (1 << 16), X_CAP + 1
+        base_primes = prime_sieve(math.isqrt(X_CAP)).tolist()
+        ns = segment_primes(lo, hi, base_primes)
+        idx, q, phi = factor_predecessors(ns, base_primes)
+        pairs = sorted(zip(idx.tolist(), q.tolist()))
+        assert len(set(pairs)) == len(pairs)
+        want = sorted((i, r) for i, n in enumerate(ns.tolist()) for r in factor(n - 1).primes())
+        assert pairs == want
+        assert phi.tolist() == [euler_phi(n - 1) for n in ns.tolist()]
 
     @given(st.integers(-(2**63), 2**63), st.integers(3, X_CAP - 3000))
     @example(-(2**63), X_CAP - 3000)
