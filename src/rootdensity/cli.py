@@ -36,6 +36,7 @@ SCAN_COLUMNS = ["a", "primes_in_class", "hits", "observed", "predicted", "abs_er
 CLASSIFY_COLUMNS = ["f", "is_wud", "family", "zero_residues"]
 # classify walks every class of every f <= fmax: its work grows as fmax^2
 _FMAX_CAP = 1000
+_MAX_DIGITS = 30
 
 
 def _classes(args) -> list[Progression]:
@@ -43,6 +44,18 @@ def _classes(args) -> list[Progression]:
     before any work is done."""
     classes = [args.a] if args.a is not None else residues(args.f)
     return [Progression(a, args.f) for a in classes]
+
+
+def _digits(text: str) -> int:
+    """--digits as an int in 1.._MAX_DIGITS; anything else is a one-line
+    usage error."""
+    try:
+        digits = int(text)
+    except ValueError:
+        digits = 0
+    if not 1 <= digits <= _MAX_DIGITS:
+        raise argparse.ArgumentTypeError(f"need an integer in 1..{_MAX_DIGITS}, got {text!r}")
+    return digits
 
 
 def _sig_decimal(value: Decimal, digits: int, rounding: str = ROUND_HALF_EVEN) -> str:
@@ -217,8 +230,8 @@ def _add_common(sub, scanning: bool = False) -> None:
     sub.add_argument("-g", type=int, required=True, help="base whose primitive-root primes are counted")
     sub.add_argument("-f", type=int, default=1, help="modulus of the progression (default 1)")
     sub.add_argument("--format", choices=("table", "csv", "json"), default="table")
-    sub.add_argument("--digits", type=int, default=12, choices=range(1, 31),
-                     metavar="1..30", help="significant digits in numeric output")
+    sub.add_argument("--digits", type=_digits, default=12, metavar=f"1..{_MAX_DIGITS}",
+                     help="significant digits in numeric output")
     if scanning:
         # scan starts at most as many workers as there are usable cores
         sub.add_argument("--threads", type=int, default=os.cpu_count() or 1,
@@ -270,6 +283,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
+        if getattr(args, "threads", 1) < 1:
+            raise ValueError(f"need --threads >= 1, got {args.threads}")
         return args.func(args)
     except (InvalidBaseError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

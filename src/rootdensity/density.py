@@ -193,8 +193,8 @@ def _degree(n, gcd_nh, phi_r, splits):
     squarefree n | r, (n / gcd(n, h)) * phi(r), halved (exactly for any
     phi_r, as h is odd) when n is even and the discriminant divides r
     (splits): the square root of g1 then lies in the r-th cyclotomic field."""
-    halve = (n % 2 == 0) & splits
-    return n // gcd_nh * phi_r // (1 + halve)
+    halve = ((n & 1) == 0) & splits
+    return n // gcd_nh * phi_r >> halve
 
 
 def w(k: int, f: int, h: int) -> int:

@@ -12,7 +12,11 @@ making agreement with the closed form a machine-checkable statement.
 The O(N) pass is int64 array work: each term mu(n) / D(n) enters as the
 exact integer mu(n) * floor(2^192 / D(n)), summed per bucket by
 `sieves.floor_sums`, and the buckets' integer sums are rounded once, to
-50 digits, when a class assembles its partial sum.
+50 digits, when a class assembles its partial sum.  What a term needs of
+f and g (its bucket among at most 2^(omega(f) + 1), gcd(n, h) and
+phi(n / gcd(f, n))) comes from strided marks of the primes <= N of f and
+h over each block of n, the way a sieve marks multiples, with no
+per-term gcd.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .sieves import floor_sums, mobius_table, phi_table
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
 
 _WORKING_PRECISION = 50  # digits carried by the partial sum
-_BLOCK = 1 << 15  # n per array pass of _bucket_sums: about 2 MB of arrays
+_BLOCK = 1 << 15  # n per array pass of _bucket_sums: a traced peak of 1.6 MB
 _UNIT_BITS = 192  # bucket sums are integers in units of 2^-192
 
 
@@ -49,11 +53,12 @@ class SeriesEstimate:
     tail_bound: Decimal
 
 
-def _needs_symbol(n, abs_delta, splits):
-    """The quadratic-symbol condition, elementwise: with r = lcm(f, n), the
-    intersection field picks up a square root iff n is even and the
-    discriminant divides r (splits) but not n."""
-    return (n % 2 == 0) & (n % abs_delta != 0) & splits
+def _needs_symbol(even, on_delta, splits):
+    """The quadratic-symbol condition, elementwise over bools or boolean
+    arrays: with r = lcm(f, n), the intersection field picks up a square
+    root iff n is even and the discriminant divides r (splits) but not n
+    (on_delta: |delta| divides n)."""
+    return even & splits & np.logical_not(on_delta)
 
 
 def degree_nkr(k: int, f: int, base: Base) -> int:
@@ -91,7 +96,15 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
         raise ValueError(f"n must be squarefree and >= 1, got {n}")
     d = math.gcd(prog.f, n)
     splits = n // d % abs(gamma_factor(prog.f, base)[0]) == 0
-    return int(_survives(prog, base, d, _needs_symbol(n, abs(base.delta), splits)))
+    special = _needs_symbol(n % 2 == 0, n % abs(base.delta) == 0, splits)
+    return int(_survives(prog, base, d, special))
+
+
+def _multiples(p: int, lo: int, size: int) -> np.ndarray:
+    """Boolean mask over [lo, lo + size): True at the multiples of p."""
+    mask = np.zeros(size, dtype=bool)
+    mask[-lo % p :: p] = True
+    return mask
 
 
 @lru_cache(maxsize=256)
@@ -107,32 +120,68 @@ def _bucket_sums(
     sum is off from the true one by less than one unit per term and does
     not depend on the order of the terms.
 
-    The degree array is int64 for any f and g.  With d = gcd(f, n) =
-    gcd(rad f, n) and r = lcm(f, n) = f * (n / d), the degree is
-    phi(f) * deg', deg' the lemma at phi(n) / phi(d), so deg' <= limit^2
-    and the floor is floor(floor(2^192 / phi(f)) / deg').  The discriminant
-    divides r iff |b| (`gamma_factor`) divides n / d; |b| and |delta| clamp to limit + 1.
+    n is squarefree, so what it shares with f, h and the discriminant is a
+    set of primes, and strided marks over each block of n find it, as in
+    `sieves.segment_primes`.  Only the primes <= limit of f and of h can
+    divide an n <= limit, so only they stride:
+    - the i-th prime of f sets bit i of a bitmask m, so d = gcd(f, n)
+      comes from a table of 2^omega entries, and the bucket key
+      2m + needs-symbol takes at most 2^(omega + 1) values;
+    - the same stride divides p - 1 out of phi, leaving phi(n / d);
+    - gcd(n, h) is a strided product over the primes of h;
+    - with r = lcm(f, n) = f * (n / d), the discriminant divides r iff |b|
+      (`gamma_factor`) divides n / d.  That is squarefree and prime to f,
+      so it holds iff |b| is squarefree, prime to f and divides n: one
+      stride of |b|, or none at all.
+
+    The degree array is int64 for any f and g: the degree is
+    phi(f) * deg', deg' the lemma at phi(n / d), so deg' <= limit^2
+    and the floor is floor(floor(2^192 / phi(f)) / deg').
     """
     base = make_base(g)
     mob = mobius_table(limit)
     phi = phi_table(limit)
-    rad = math.prod(factor(f).primes())
-    abs_b = min(abs(gamma_factor(f, base)[0]), limit + 1)
-    abs_delta = min(abs(base.delta), limit + 1)
+    f_primes = [p for p in factor(f).primes() if p <= limit]
+    h_primes = [p for p in factor(base.h).primes() if p <= limit]
+    d_of = [1]  # gcd(f, n) by the bitmask of the primes of f dividing n
+    for p in f_primes:
+        d_of += [d * p for d in d_of]
+    abs_b = abs(gamma_factor(f, base)[0])
+    if abs_b > limit or math.gcd(abs_b, f) > 1 or not is_squarefree(abs_b):
+        abs_b = 0  # |b| divides no n / d
+    abs_delta = abs(base.delta)
     top = (1 << _UNIT_BITS) // euler_phi(f)
     sums: dict[int, int] = {}  # by bucket key
     for lo in range(1, limit + 1, _BLOCK):
-        n = np.flatnonzero(mob[lo : lo + _BLOCK]) + lo  # the squarefree n
-        d = np.gcd(n, rad)
-        splits = n // d % abs_b == 0
-        deg = _degree(n, np.gcd(n, base.h), phi[n] // phi[d], splits)
-        special = _needs_symbol(n, abs_delta, splits)
-        # bucket key 2 * gcd(f, n) + needs-symbol, numbered 0.. per block
-        keys, key = np.unique(2 * d + special, return_inverse=True)
-        _, block = floor_sums(key, top, deg, 0, mob[n])
+        mu = mob[lo : lo + _BLOCK]
+        at = np.flatnonzero(mu)  # the squarefree n, less lo
+        n = at + lo
+        mark = np.zeros(len(mu), dtype=np.int32)
+        phi_r = phi[lo : lo + _BLOCK].copy()  # to be phi(n / d)
+        for i, p in enumerate(f_primes):
+            start = -lo % p
+            mark[start::p] |= 1 << i
+            phi_r[start::p] //= p - 1
+        m = mark[at]
+        gcd_nh = 1
+        if h_primes:
+            mark.fill(1)
+            for p in h_primes:
+                mark[-lo % p :: p] *= p
+            gcd_nh = mark[at]
+        splits = abs_b == 1
+        if abs_b > 1:
+            splits = _multiples(abs_b, lo, len(mu))[at]
+        on_delta = False
+        if abs_delta <= limit:
+            on_delta = _multiples(abs_delta, lo, len(mu))[at]
+        deg = _degree(n, gcd_nh, phi_r[at], splits)
+        special = _needs_symbol((n & 1) == 0, on_delta, splits)
+        keys, block = floor_sums(2 * m + special, top, deg, 0, mu[at])
         for k, s in zip(keys.tolist(), block):
             sums[k] = sums.get(k, 0) + s
-    return tuple(((k >> 1, bool(k & 1)), s) for k, s in sorted(sums.items()))
+    # distinct masks give distinct d, so each (d, special) occurs once
+    return tuple(sorted(((d_of[k >> 1], bool(k & 1)), s) for k, s in sums.items()))
 
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:

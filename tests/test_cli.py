@@ -107,6 +107,18 @@ class TestDensityCommand:
         _, out, _ = run_cli(capsys, "density", "-g", "2", "--digits", "30", "--format", "csv")
         assert parse_csv(out)[0]["numeric"] == "0.373955813619202288054728054346"
 
+    def test_digits_out_of_range_is_one_line(self, capsys):
+        for digits in ("0", "31", "x"):
+            with pytest.raises(SystemExit) as exc:
+                main(["density", "-g", "2", "--digits", digits])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert "[--digits 1..30]" in err  # the usage keeps the metavar
+            assert [line for line in err.splitlines() if "error:" in line] == [
+                "rootdensity density: error: argument --digits: "
+                f"need an integer in 1..30, got '{digits}'"
+            ]
+
     @pytest.mark.parametrize("argv,digest", [
         (["density", "-g", "-3", "-f", "5040", "--format", "csv"],
          "d24d0777b4b99676521e3d0ad848d976bdebbfdfec1cb701e1fb6daf34f2ed18"),
@@ -123,6 +135,17 @@ class TestDensityCommand:
 
 
 class TestVerifyCommand:
+    def test_stdout_bytes_pinned(self, capsys):
+        # sha256 of stdout as the per-term gcd bucket pass printed it: 192
+        # classes, omega(840) = 4, and |b| = 1062347 and |delta| above N
+        code, out, err = run_cli(
+            capsys, "verify", "-g", "-223092870", "-f", "840", "-N", "200000",
+            "-x", "100000", "--threads", "1", "--format", "csv",
+        )
+        assert code == 0, err
+        digest = "ea65e2470ff73feb9e4fbedb178d7ba4999975f28ca45a7c9f3711b49fdb72ed"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_passes_on_small_scan(self, capsys):
         code, out, err = run_cli(
             capsys, "verify", "-g", "2", "-f", "4", "-N", "2000", "-x", "200000",
@@ -313,6 +336,20 @@ class TestScanCommand:
         assert out
         code, _, _ = run_cli(capsys, "scan", "-g", "2", "-f", "4", "-x", "1000")
         assert code == 0
+
+
+@pytest.mark.parametrize("command", ["scan", "verify", "heuristic"])
+def test_nonpositive_threads_named(capsys, monkeypatch, command):
+    # checked before any work, in the flag's own terms
+    def no_scan(*args, **kwargs):
+        raise AssertionError("scan ran")
+
+    patch_scan(monkeypatch, no_scan)
+    for threads in ("0", "-1"):
+        code, out, err = run_cli(
+            capsys, command, "-g", "2", "-f", "4", "-x", "1000", "--threads", threads,
+        )
+        assert (code, out, err) == (2, "", f"error: need --threads >= 1, got {threads}\n")
 
 
 class TestHeuristicCommand:

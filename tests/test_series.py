@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -138,6 +139,15 @@ class TestSeriesTruncated:
         cases += [(2, Progression(a, 2**63 - 1), 60) for a in (1, 2, 3, 2**63 - 2)]
         cases += [(g, Progression(a, 24), 200) for g in (2**63, -(2**63)) for a in residues(24)]
         cases += [(-(2**63), Progression(a, 2**63), 60) for a in (1, 2**62 - 1)]
+        # the strided marks: h = 3 with six primes of f and b = 2 sharing one;
+        # h = 7 with |b| = 3 prime to f and |b| = 1; a prime of f above N
+        # with |b| = 15 <= N; |b| and |delta| above N
+        cases += [(27, Progression(a, 30030), 300) for a in (1, 17, 4621, 30029)]
+        cases += [(21**7, Progression(a, 28), 300) for a in residues(28)]
+        cases += [(-(3**7), Progression(a, 21), 300) for a in residues(21)]
+        cases += [(15, Progression(a, 4 * 307), 300) for a in (1, 3, 615, 1227)]
+        cases += [(-223092870, Progression(a, 840), 300) for a in (1, 11, 421, 839)]
+        cases += [(3, Progression(1, 2), 300)]
         for g, prog, N in cases:
             est = series_truncated(prog, g, N=N)
             exact = _naive_partial_sum(prog, g, N)
@@ -159,6 +169,11 @@ class TestSeriesTruncated:
     def test_blocks_leave_bucket_sums_unchanged(self, monkeypatch):
         # the integer bucket sums must not depend on where the blocks end
         cases = [(1, 2, 3000), (28, 2, 3000), (24, -15, 3000), (2**50, 2, 500)]
+        # blocks of 7 start at every offset mod each striding prime: h > 1,
+        # six primes of f, a prime of f above N, |b| squarefree and prime to
+        # f, |b| sharing a prime with f, and |b|, |delta| above N
+        cases += [(30030, 27, 3000), (28, 21**7, 3000), (21, -(3**7), 3000),
+                  (4 * 3001, 15, 3000), (2, 3, 3000), (840, -223092870, 3000)]
         whole = [series._bucket_sums(*case) for case in cases]
         series._bucket_sums.cache_clear()
         monkeypatch.setattr(series, "_BLOCK", 7)
@@ -166,6 +181,20 @@ class TestSeriesTruncated:
             assert [series._bucket_sums(*case) for case in cases] == whole
         finally:
             series._bucket_sums.cache_clear()
+
+    @pytest.mark.parametrize("f,g,digest", [
+        (30030, 27, "26ff227d86f4d17659c58cc3ab9f07a2ab2ed9b58072bb0c8a951db254703982"),
+        (840, -223092870, "499f6a7bc7d3cd694040923a29310cf883660c1342e38c8131fa09626eef430e"),
+        (28, 21**7, "31f5855629e92425980cc2c7ce8be536b5c06c590d3323f450ed296043879c06"),
+        (21, -(3**7), "390cd9d9361755c5c497c990fe3463bd041682c564600e3739b17a0c3d7b2077"),
+        (4 * 131101, 15, "b6485afea767a20cea7ceb2bf6af6feb28bcbb5ca03129d99ea8853ac6339fdc"),
+        (2, 3, "ea81676e083b2ea59d1e673fe729eb94fee9546bcd7062fa70636cdeef605ca6"),
+    ])
+    def test_bucket_sums_pinned(self, f, g, digest):
+        # sha256 of the repr as the per-term gcd pass built it, over five
+        # blocks of 2^15 and three more n; 131101 is a prime above N
+        sums = series._bucket_sums(f, g, 2**17 + 3)
+        assert hashlib.sha256(repr(sums).encode()).hexdigest() == digest
 
     def test_converges_to_artin_constant(self):
         est = series_truncated(Progression(1, 1), 2, N=10**4)
