@@ -169,16 +169,18 @@ class TestSeriesTruncated:
     def test_blocks_leave_bucket_sums_unchanged(self, monkeypatch):
         # the integer bucket sums must not depend on where the blocks end
         cases = [(1, 2, 3000), (28, 2, 3000), (24, -15, 3000), (2**50, 2, 500)]
-        # blocks of 7 start at every offset mod each striding prime: h > 1,
-        # six primes of f, a prime of f above N, |b| squarefree and prime to
-        # f, |b| sharing a prime with f, and |b|, |delta| above N
+        # blocks of 7, then of 11, start at every offset mod each striding
+        # prime: h > 1, six primes of f, a prime of f above N, |b| squarefree
+        # and prime to f, |b| sharing a prime with f, and |b|, |delta| above N
         cases += [(30030, 27, 3000), (28, 21**7, 3000), (21, -(3**7), 3000),
                   (4 * 3001, 15, 3000), (2, 3, 3000), (840, -223092870, 3000)]
         whole = [series._bucket_sums(*case) for case in cases]
         series._bucket_sums.cache_clear()
-        monkeypatch.setattr(series, "_BLOCK", 7)
         try:
-            assert [series._bucket_sums(*case) for case in cases] == whole
+            for block in (7, 11):
+                monkeypatch.setattr(series, "_BLOCK", block)
+                assert [series._bucket_sums(*case) for case in cases] == whole, block
+                series._bucket_sums.cache_clear()
         finally:
             series._bucket_sums.cache_clear()
 
