@@ -68,7 +68,8 @@ _TABLE_CAP = 1 << 12
 # 5*10^6 and 3*10^7, 3 bits beat 2 by 2-9 % and 4 by 25-30 % (2-vCPU Xeon)
 _WINDOW = 3
 
-# a pool pays for its start-up only with at least this many segments per worker
+# a pool pays for its start-up only with at least this many base segments
+# (`ScanConfig.segment_size` numbers each) per worker
 _JOBS_PER_WORKER = 8
 
 _EULER_GAMMA = 0.5772156649015329
@@ -80,18 +81,15 @@ class ScanConfig:
     """Scan tuning: worker processes.
 
     The segment length is worked out from x: `_segment_length` gives the
-    base `segment_size` (2^16 numbers) below x = 2^23, 2^18 on [2^23, 2^24)
-    and 2^19 from 2^24.  Each segment walks the base primes up to sqrt(x)
-    once per sieve, so longer segments are faster at large x: on one
-    worker of a 2-core Xeon, scan(2, 4, x) took 0.57 s with 2^18 against
-    0.73 s with 2^16 at 10^7, and 5.9 s with 2^19 against 6.9 s with 2^18
-    at 10^8.  A segment's arrays (sieve flags, int64 arrays per prime and
-    per (p, q) pair, and `_pow_mod`'s int32 table of 32 bytes per pair)
-    peak near 0.6 MB at 2^16, 2.3 MB at 2^18 and 4.5 MB at 2^19 (by
-    tracemalloc), and every pool worker holds one.  A pool gets at most
-    `workers` processes, one per usable core and one per
-    `_JOBS_PER_WORKER` segments; with fewer than two, the segments run in
-    process, where they finish before a pool would start.
+    base `segment_size` (2^16 numbers) below x = 2^23 and 2^19 from there,
+    as each segment walks the base primes up to sqrt(x) once per sieve.
+    A segment's arrays (sieve flags, int64 arrays per prime and per
+    (p, q) pair, and `_pow_mod`'s int32 table of 32 bytes per pair) peak
+    near 0.6 MB at 2^16 and 4.5 MB at 2^19 (by tracemalloc), and every
+    pool worker holds one.  A pool gets at most `workers` processes, one
+    per usable core and one per `_JOBS_PER_WORKER` base segments that x
+    spans, whatever the segment length; with fewer than two, the segments
+    run in process, where they finish before a pool would start.
     """
 
     segment_size = 1 << 16  # not annotated, so a class constant and not a field
@@ -260,11 +258,9 @@ def _scan_segment(args: tuple) -> tuple:
 
 
 def _segment_length(x: int) -> int:
-    """The segment length of a scan to x (see `ScanConfig`).  It grows
-    only from 2^23, where there are at least 32 segments of 2^18, and
-    again from 2^24, where there are at least 32 of 2^19, so a pool of up
-    to four workers starts wherever it did with 2^16."""
-    return ScanConfig.segment_size << (3 if x >= 1 << 24 else 2 if x >= 1 << 23 else 0)
+    """The segment length of a scan to x: the base `segment_size` below
+    2^23 and 2^19 from there (see `ScanConfig`)."""
+    return ScanConfig.segment_size << (3 if x >= 1 << 23 else 0)
 
 
 def _usable_cores() -> int:
@@ -285,8 +281,10 @@ def scan(
     """
     classes = residues(f)
     base = make_base(g)
-    if not (2 <= x <= X_CAP and config.workers >= 1):
-        raise ValueError(f"need 2 <= x <= {X_CAP} and workers >= 1; got x={x}, {config}")
+    if not 2 <= x <= X_CAP:
+        raise ValueError(f"need 2 <= x <= {X_CAP}, got x={x}")
+    if config.workers < 1:
+        raise ValueError(f"need workers >= 1, got workers={config.workers}")
     base_primes = prime_sieve(math.isqrt(x)).tolist()
     length = _segment_length(x)
     bounds = [(lo, min(lo + length, x + 1)) for lo in range(2, x + 1, length)]
@@ -303,7 +301,8 @@ def scan(
             hits.update(seg_hits)
             heur.update(seg_heur)
 
-    workers = min(config.workers, _usable_cores(), len(jobs) // _JOBS_PER_WORKER)
+    base_segments = len(range(2, x + 1, ScanConfig.segment_size))
+    workers = min(config.workers, _usable_cores(), base_segments // _JOBS_PER_WORKER)
     if workers <= 1:
         merge(map(_scan_segment, jobs))
     else:

@@ -7,7 +7,8 @@ series evaluator wants Moebius and totient values for every index up to its
 truncation point.  Both tables come from one sieve over the primes up to
 the square root of the limit, which leaves each index with at most one
 larger prime factor to apply.  One cache holds the table pair of the
-last limit asked for, and callers must treat it as read-only.
+last limit asked for, and both arrays are read-only: a write into either
+raises ValueError rather than corrupt every later caller.
 
 `density.X_CAP` bounds both the scan's x and the series' N, so the Moebius
 table is int8 and the totient table int32.
@@ -184,7 +185,7 @@ def floor_sums(
 @lru_cache(maxsize=1)
 def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
     """mu(n) as int8 and phi(n) as int32 for 0 <= n <= limit <= X_CAP, in
-    one sieve.
+    one sieve, as read-only arrays.
 
     Only the primes p <= sqrt(limit) stride over their multiples: each
     flips the sign of mu, zeroes it on multiples of p^2, scales phi by
@@ -213,6 +214,7 @@ def _mu_phi(limit: int) -> tuple[np.ndarray, np.ndarray]:
     np.floor_divide(phi, rest, out=phi, where=big)
     rest -= 1
     np.multiply(phi, rest, out=phi, where=big)
+    mu.flags.writeable = phi.flags.writeable = False  # the cache shares them
     return mu, phi
 
 

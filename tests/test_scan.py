@@ -55,6 +55,29 @@ def _oracle_hits(g: int, f: int, x: int) -> dict[int, int]:
     return hits
 
 
+def _stub_pool(monkeypatch) -> list[int]:
+    """Replace the process pool by a stub that records its size and runs
+    the segments in process, so no worker process is started; returns the
+    list of recorded sizes."""
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    return sizes
+
+
 class TestIsPrimitiveRoot:
     def test_examples(self):
         assert is_primitive_root(2, 3) is True
@@ -131,7 +154,7 @@ class TestScan:
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 3)
-        monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: 1 << 12)
+        monkeypatch.setattr(ScanConfig, "segment_size", 1 << 12)
         one = scan(2, 5, 10**5, ScanConfig(workers=1))
         two = scan(2, 5, 10**5, ScanConfig(workers=2))
         three = scan(2, 5, 10**5, ScanConfig(workers=3))
@@ -139,25 +162,8 @@ class TestScan:
         assert pools == [2, 3]
 
     def test_pool_capped_by_cores_and_segments(self, monkeypatch):
-        # a stub pool records its size and runs the segments in process;
-        # no worker process is started
-        sizes = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
-        monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: 64)
+        sizes = _stub_pool(monkeypatch)
+        monkeypatch.setattr(ScanConfig, "segment_size", 64)
         cfg = ScanConfig(workers=500)
         # x = 64000 and 10240 make 1000 and 160 segments, 8 per worker for
         # 125 and 20 workers
@@ -166,6 +172,36 @@ class TestScan:
             monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda n=cores: n)
             assert scan(2, 4, x, cfg) == scan(2, 4, x)
             assert sizes == want
+
+    def test_pool_counts_base_segments(self, monkeypatch):
+        # stub segments record the jobs; no large scan runs
+        sizes = _stub_pool(monkeypatch)
+        jobs = []
+
+        def empty(job):
+            jobs.append(job)
+            return 0, {}, {}, {}
+
+        monkeypatch.setattr(SCAN_MODULE, "_scan_segment", empty)
+        monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 64)
+        cfg = ScanConfig(workers=500)
+        # below 2^23 segments are base segments, so the cap is one worker
+        # per 8 jobs, as it was when the pool counted jobs
+        base = ScanConfig.segment_size
+        xs = [2, 8 * base, 8 * base + 1, 16 * base + 1, 16 * base + 2,
+              100 * base + 7, 120 * base + 1, 2**23 - 1]
+        for x in xs:
+            sizes.clear()
+            jobs.clear()
+            scan(2, 4, x, cfg)
+            cap = min(64, len(jobs) // 8)
+            assert sizes == ([cap] if cap > 1 else []), x
+        # from 2^23 the segments are longer, but the cap still counts base
+        # segments: 256 of them at 2^24 and 1526 at X_CAP
+        for x, want in [(2**24, 32), (X_CAP, 64)]:
+            sizes.clear()
+            scan(2, 4, x, cfg)
+            assert sizes == [want], x
 
     def test_few_segments_run_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
@@ -190,6 +226,9 @@ class TestScan:
         assert lengths == sorted(lengths)
         assert lengths[:3] == [1 << 16] * 3
         assert lengths[-1] == 1 << 19
+        # one switch, at 2^23
+        assert _segment_length(2**23 - 1) == 1 << 16
+        assert _segment_length(2**23) == 1 << 19
         assert ScanConfig().segment_size == 1 << 16
         with pytest.raises(TypeError):
             ScanConfig(segment_size=64)
@@ -215,16 +254,18 @@ class TestScan:
     def test_rejects_bad_inputs(self):
         with pytest.raises(InvalidBaseError):
             scan(4, 1, 100)
-        with pytest.raises(ValueError):
-            scan(2, 1, 1)
+        with pytest.raises(ValueError, match="x=1") as info:
+            scan(2, 1, 1, ScanConfig(workers=2))
+        assert "ScanConfig" not in str(info.value)
         with pytest.raises(ValueError):
             scan(2, 1, 10**8 + 1)
         for f in (0, 10**6 + 1, 10**8 + 1, 2**63):
             with pytest.raises(ValueError):
                 scan(2, f, 1000)
         for config in (ScanConfig(workers=0), ScanConfig(workers=-2)):
-            with pytest.raises(ValueError, match="workers >= 1"):
+            with pytest.raises(ValueError, match="workers >= 1") as info:
                 scan(2, 4, 1000, config)
+            assert "ScanConfig" not in str(info.value) and " x=" not in str(info.value)
 
     def test_sampled_hits_have_full_order(self):
         # reproduce the scan's hit set independently on a sample
@@ -293,6 +334,14 @@ class TestAgainstScalarOracle:
         terms = _grid_terms(g)
         li_x = li(GRID_X)
         default_size = _segment_length(GRID_X)
+        pools = []
+
+        class Pool(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         for f in GRID_MODULI:
             in_class, hits, heur = _scalar_classes(terms, f)
             want = {
@@ -301,10 +350,13 @@ class TestAgainstScalarOracle:
                 for a in residues(f)
             }
             for size in (4096, 10007, default_size):
-                monkeypatch.setattr(SCAN_MODULE, "_segment_length", lambda x: size)
+                monkeypatch.setattr(ScanConfig, "segment_size", size)
                 for workers in (1, 2):
                     cfg = ScanConfig(workers=workers)
                     assert scan(g, f, GRID_X, cfg) == want, (f, size, cfg)
+        # 18 segments of 4096 start a pool of 2 for each modulus; 7 of
+        # 10007 and 2 of the default run in process
+        assert pools == [2] * len(GRID_MODULI)
 
     def test_segment_ending_at_cap(self):
         # every residue and every product of two stays below 2^63

@@ -53,6 +53,16 @@ def test_table_cache_holds_one_limit():
     assert _mu_phi.cache_info().currsize == 1
 
 
+def test_cached_tables_are_read_only():
+    # the cache hands the same arrays to every caller, so a write into
+    # one must fail instead of changing later series sums
+    mu, phi = mobius_table(1000), phi_table(1000)
+    for table in (mu, phi):
+        with pytest.raises(ValueError):
+            table[2] = 0
+    assert mobius_table(1000)[2] == -1 and phi_table(1000)[2] == 1
+
+
 def test_prime_sieve_against_sympy():
     # 961 = 31^2 is a prime square, and 1024 = 32^2 lies past it
     for limit in [*range(301), 961, 1024, 10**4 + 7]:
