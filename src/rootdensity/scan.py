@@ -14,19 +14,20 @@ Each segment is array work, with no loop over its primes:
   divide g2 and (4|p) = 1; and (delta|.) is periodic mod |delta| because
   delta is a fundamental discriminant.  Above |delta| = 2^12 the table is
   not built and Euler's criterion, g^((p-1)/2) = (g|p) (mod p), is
-  evaluated for all those primes at once instead.  g can be a primitive
-  root only where the sign is -1, and that sign is also the heuristic's
-  filter, so about half the primes stop here.
+  evaluated for those primes instead, in slices of _PAIR_CHUNK.  g can
+  be a primitive root only where the sign is -1, and that sign is also
+  the heuristic's filter, so about half the primes stop here.
 - For the rest, sieving the shifted window of the values p - 1
   (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
   phi(p - 1).
-- One modular power over all pairs (p, q) with q odd decides
-  g^((p-1)/q) != 1, by `_pow_mod`: left to right in 3-bit windows, from a
-  table of g^0 .. g^7 mod p per pair, so each 3 bits of the exponent cost
-  three squarings and one table multiply.  It runs in int64: residues
-  are below p <= X_CAP = 10^8 < 2^27 (`density.X_CAP`, which also bounds
-  the series' N), so the table fits int32 and the product of two
-  residues is below 2^54 and never wraps.
+- One modular power per slice of _PAIR_CHUNK pairs (p, q) with q odd
+  decides g^((p-1)/q) != 1, by `_pow_mod`: left to right in 3-bit
+  windows, from a table of g^0 .. g^7 mod p per pair, so each 3 bits of
+  the exponent cost three squarings and one table multiply, and a slice
+  holds the same memory whatever the segment length.  It runs in int64:
+  residues are below p <= X_CAP = 10^8 < 2^27 (`density.X_CAP`, which
+  also bounds the series' N), so the table fits int32 and the product of
+  two residues is below 2^54 and never wraps.
 - Per-class counts come from np.bincount, and `sieves.floor_sums` adds
   the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
 
@@ -68,6 +69,13 @@ _TABLE_CAP = 1 << 12
 # 5*10^6 and 3*10^7, 3 bits beat 2 by 2-9 % and 4 by 25-30 % (2-vCPU Xeon)
 _WINDOW = 3
 
+# elements per `_pow_mod` call in the Euler pass and the order test, about
+# 100 bytes each (inputs, result, table): 2^11 to 2^13 took the same time
+# on a 2^17 segment near 4*10^6, where 2^13 peaked at 1.0 MB against 0.65;
+# on a 2^19 segment near 3*10^7, 2^12 took 19.0 ms against 22.0 for one
+# call over all pairs (2-vCPU Xeon)
+_PAIR_CHUNK = 1 << 12
+
 # a pool pays for its start-up only with at least this many base segments
 # (`ScanConfig.segment_size` numbers each) per worker
 _JOBS_PER_WORKER = 8
@@ -80,16 +88,19 @@ _LI_2 = 1.0451637801174928  # li(2), the offset of the integral taken from 2
 class ScanConfig:
     """Scan tuning: worker processes.
 
-    The segment length is worked out from x: `_segment_length` gives the
-    base `segment_size` (2^16 numbers) below x = 2^23 and 2^19 from there,
-    as each segment walks the base primes up to sqrt(x) once per sieve.
-    A segment's arrays (sieve flags, int64 arrays per prime and per
-    (p, q) pair, and `_pow_mod`'s int32 table of 32 bytes per pair) peak
-    near 0.6 MB at 2^16 and 4.5 MB at 2^19 (by tracemalloc), and every
-    pool worker holds one.  A pool gets at most `workers` processes, one
-    per usable core and one per `_JOBS_PER_WORKER` base segments that x
-    spans, whatever the segment length; with fewer than two, the segments
-    run in process, where they finish before a pool would start.
+    The segment length is worked out from x: `_segment_length` gives
+    twice the base `segment_size` (2^17 numbers) below x = 2^23 and 2^19
+    from there, as each segment walks the base primes up to sqrt(x) once
+    per sieve.  The order test runs in slices of `_PAIR_CHUNK` pairs and
+    the stride pass in batches of about `sieves._POSITION_BATCH`
+    positions, so what grows with a segment is its sieve flags, its
+    arrays per prime and per (p, q) pair, and the stride pass's map of 4
+    bytes per odd number.  A segment peaks near 0.8 MB at 2^17 and
+    2.4 MB at 2^19 (by tracemalloc), and every pool worker holds one.  A
+    pool gets at most `workers` processes, one per usable core and one
+    per `_JOBS_PER_WORKER` base segments that x spans, whatever the
+    segment length; with fewer than two, the segments run in process,
+    where they finish before a pool would start.
     """
 
     segment_size = 1 << 16  # not annotated, so a class constant and not a field
@@ -239,17 +250,24 @@ def _scan_segment(args: tuple) -> tuple:
     # (g|p) = -1 is both the q = 2 order test and the heuristic's filter;
     # without a table, Euler's criterion g^((p-1)/2) = (g|p) = +-1 decides it
     if table is None:
-        keep = _pow_mod(gp, p >> 1, p) == p - 1
+        keep = np.empty(len(p), dtype=bool)
+        for start in range(0, len(p), _PAIR_CHUNK):
+            s = slice(start, start + _PAIR_CHUNK)
+            keep[s] = _pow_mod(gp[s], p[s] >> 1, p[s]) == p[s] - 1
     else:
         keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]
     idx, q, phi = factor_predecessors(p, base_primes)
     odd = q != 2
     idx, q = idx[odd], q[odd]
-    p_pair = p[idx]
-    ones = _pow_mod(gp[idx], (p_pair - 1) // q, p_pair) == 1
-    full_order = np.bincount(idx[ones], minlength=len(p)) == 0
-    hits = _by_class(key[full_order], lo, f)
+    # g has full order mod p unless g^((p-1)/q) = 1 for some odd q | p - 1
+    fails = np.zeros(len(p), dtype=bool)
+    for start in range(0, len(idx), _PAIR_CHUNK):
+        s = slice(start, start + _PAIR_CHUNK)
+        i = idx[s]
+        p_pair = p[i]
+        fails[i[_pow_mod(gp[i], (p_pair - 1) // q[s], p_pair) == 1]] = True
+    hits = _by_class(key[~fails], lo, f)
     keep = np.gcd(p - 1, h) == 1
     # phi(p - 1) < p - 1, as floor_sums asks of an array numerator
     nz, sums = floor_sums(key[keep], phi[keep], p[keep] - 1, _HEUR_BITS)
@@ -258,9 +276,9 @@ def _scan_segment(args: tuple) -> tuple:
 
 
 def _segment_length(x: int) -> int:
-    """The segment length of a scan to x: the base `segment_size` below
-    2^23 and 2^19 from there (see `ScanConfig`)."""
-    return ScanConfig.segment_size << (3 if x >= 1 << 23 else 0)
+    """The segment length of a scan to x: twice the base `segment_size`
+    below 2^23 and 2^19 from there (see `ScanConfig`)."""
+    return ScanConfig.segment_size << (3 if x >= 1 << 23 else 1)
 
 
 def _usable_cores() -> int:

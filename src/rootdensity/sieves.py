@@ -29,6 +29,12 @@ from .density import X_CAP
 # segment at 5*10^6, and 3 (no slices) took twice as long
 _STRIDE_CAP = 64
 
+# positions per batch of the q >= _STRIDE_CAP in `_sieve_divisors`, about
+# 17 bytes each: a 2^17-number segment near 4*10^6 peaked at 0.65 MB with
+# 2^12, 0.67 with 2^13 and 0.90 in one batch, and took 4.9 against 4.6 ms;
+# a 2^19 segment near 3*10^7 took 17.0 against 18.1 ms (2-vCPU Xeon)
+_POSITION_BATCH = 1 << 12
+
 
 def prime_sieve(limit: int) -> np.ndarray:
     """All primes <= limit as an int64 array: `segment_primes` over
@@ -93,11 +99,10 @@ def _sieve_divisors(
     2 divides every n - 1.  An odd q divides n - 1 for n = lo + 2t
     exactly when t = (1 - lo) / 2 (mod q), so each q strides over the odd
     numbers from lo = ns[0] to ns[-1] and keeps the positions of ns.  The
-    q below _STRIDE_CAP stride one slice each; all larger q, whose slices
-    are short and would cost a Python iteration each, stride in one batch:
-    one int32 array of every position of every q, built by a cumulative
-    sum of steps, one gather and one mask.  A kept position's q is that of
-    the run it falls in.
+    q below _STRIDE_CAP stride one slice each; the larger q, whose slices
+    are short and would cost a Python iteration each, stride in batches
+    of consecutive q (`_stride_batch`) of about _POSITION_BATCH positions,
+    so no array but the position map grows with the window.
     """
     n = len(ns)
     if not n:
@@ -122,6 +127,26 @@ def _sieve_divisors(
     live = start < len(where)
     big, start = big[live], start[live]
     count = (len(where) - 1 - start) // big + 1
+    # a batch takes the runs of consecutive q that start in one block of
+    # _POSITION_BATCH positions: that many and at most one run more
+    first = np.cumsum(count) - count
+    cuts = (np.flatnonzero(np.diff(first // _POSITION_BATCH)) + 1).tolist()
+    hits, q_bigs = zip(*[_stride_batch(where, big[a:b], start[a:b], count[a:b])
+                         for a, b in zip([0, *cuts], [*cuts, len(big)])])
+    return np.concatenate([*parts, *hits]), np.concatenate([q, *q_bigs])
+
+
+def _stride_batch(
+    where: np.ndarray, big: np.ndarray, start: np.ndarray, count: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The entries where[pos] >= 0 at the positions pos = start + k * q,
+    0 <= k < count, of one run per q in big, and the q of each, in run
+    order.
+
+    One int32 array of every position, built by a cumulative sum of
+    steps, one gather and one mask; a kept position's q is that of the
+    run it falls in.
+    """
     # q's run of positions is start, start + q, ...: every step is q but
     # a run's first, which jumps from the last position of the run before
     pos = np.repeat(big, count)
@@ -132,14 +157,16 @@ def _sieve_divisors(
     np.cumsum(pos, out=pos)
     hit = where[pos]
     keep = np.flatnonzero(hit >= 0)
-    q_big = big[np.searchsorted(ends, keep, side="right")]
-    return np.concatenate([*parts, hit[keep]]), np.concatenate([q, q_big])
+    return hit[keep], big[np.searchsorted(ends, keep, side="right")]
 
 
 def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The largest power of the prime q dividing m, elementwise (q | m)."""
     q_power = q.copy()
-    deeper = np.flatnonzero(m % (q * q) == 0)
+    # 2's power is m's lowest set bit, so only odd q divide repeatedly
+    two = q == 2
+    q_power[two] = m[two] & -m[two]
+    deeper = np.flatnonzero((m % (q * q) == 0) & ~two)
     while deeper.size:
         q_power[deeper] *= q[deeper]
         deeper = deeper[m[deeper] // q_power[deeper] % q[deeper] == 0]

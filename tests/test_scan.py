@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -33,12 +34,13 @@ from rootdensity.scan import (
     li,
     scan,
 )
-from rootdensity.sieves import factor_predecessors, prime_sieve, segment_primes
+from rootdensity.sieves import _sieve_divisors, factor_predecessors, prime_sieve, segment_primes
 
 from conftest import brute_order, residues
 
 # the submodule: the package attribute `scan` is the function
 SCAN_MODULE = sys.modules[scan.__module__]
+SIEVES_MODULE = sys.modules["rootdensity.sieves"]
 
 
 def _oracle_hits(g: int, f: int, x: int) -> dict[int, int]:
@@ -144,7 +146,7 @@ class TestScan:
         assert whole[1].primes_total == counts[1].primes_total
 
     def test_deterministic_across_worker_counts(self, monkeypatch):
-        # 25 small segments and 3 usable cores, enough for pools of 2 and 3
+        # 25 small base segments and 3 usable cores, enough for pools of 2 and 3
         pools = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -165,7 +167,7 @@ class TestScan:
         sizes = _stub_pool(monkeypatch)
         monkeypatch.setattr(ScanConfig, "segment_size", 64)
         cfg = ScanConfig(workers=500)
-        # x = 64000 and 10240 make 1000 and 160 segments, 8 per worker for
+        # x = 64000 and 10240 make 1000 and 160 base segments, 8 per worker for
         # 125 and 20 workers
         for cores, x, want in [(64, 64_000, [64]), (1000, 10_240, [20]), (1, 64_000, [])]:
             sizes.clear()
@@ -174,27 +176,20 @@ class TestScan:
             assert sizes == want
 
     def test_pool_counts_base_segments(self, monkeypatch):
-        # stub segments record the jobs; no large scan runs
+        # stub segments; no large scan runs
         sizes = _stub_pool(monkeypatch)
-        jobs = []
-
-        def empty(job):
-            jobs.append(job)
-            return 0, {}, {}, {}
-
-        monkeypatch.setattr(SCAN_MODULE, "_scan_segment", empty)
+        monkeypatch.setattr(SCAN_MODULE, "_scan_segment", lambda job: (0, {}, {}, {}))
         monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 64)
         cfg = ScanConfig(workers=500)
-        # below 2^23 segments are base segments, so the cap is one worker
-        # per 8 jobs, as it was when the pool counted jobs
+        # below 2^23 the cap is one worker per 8 blocks of base size
+        # that x spans, though the segments there are 2^17 numbers long
         base = ScanConfig.segment_size
         xs = [2, 8 * base, 8 * base + 1, 16 * base + 1, 16 * base + 2,
               100 * base + 7, 120 * base + 1, 2**23 - 1]
         for x in xs:
             sizes.clear()
-            jobs.clear()
             scan(2, 4, x, cfg)
-            cap = min(64, len(jobs) // 8)
+            cap = min(64, len(range(2, x + 1, ScanConfig.segment_size)) // 8)
             assert sizes == ([cap] if cap > 1 else []), x
         # from 2^23 the segments are longer, but the cap still counts base
         # segments: 256 of them at 2^24 and 1526 at X_CAP
@@ -208,7 +203,7 @@ class TestScan:
             raise AssertionError("a process pool was started")
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
-        # 2 segments: fewer than 8 per worker
+        # 2 base segments: fewer than 8 per worker
         assert scan(2, 4, 10**5, ScanConfig(workers=2)) == scan(2, 4, 10**5)
 
     def test_deterministic_across_segment_sizes(self, monkeypatch):
@@ -224,10 +219,10 @@ class TestScan:
         lengths = [_segment_length(x) for x in xs]
         assert all(n & (n - 1) == 0 for n in lengths)
         assert lengths == sorted(lengths)
-        assert lengths[:3] == [1 << 16] * 3
+        assert lengths[:3] == [1 << 17] * 3
         assert lengths[-1] == 1 << 19
         # one switch, at 2^23
-        assert _segment_length(2**23 - 1) == 1 << 16
+        assert _segment_length(2**23 - 1) == 1 << 17
         assert _segment_length(2**23) == 1 << 19
         assert ScanConfig().segment_size == 1 << 16
         with pytest.raises(TypeError):
@@ -284,7 +279,7 @@ class TestScan:
 
 # bases with h > 1 (27, 21^7), g outside int64 (2^63), a huge |delta|
 # (-223092870 = -2*3*5*...*23); x reaches every prime dividing them and
-# spans two default-size segments
+# spans 9, 4 and 1 segments at the sizes test_grid sets
 GRID_BASES = (2, -3, -6, 27, 21**7, -223092870, 2**63, -(2**63))
 GRID_MODULI = (1, 4, 5, 7, 12, 840)
 GRID_X = 70_000
@@ -333,7 +328,7 @@ class TestAgainstScalarOracle:
         assert (table is None) == (g == -223092870)
         terms = _grid_terms(g)
         li_x = li(GRID_X)
-        default_size = _segment_length(GRID_X)
+        default_size = ScanConfig.segment_size
         pools = []
 
         class Pool(concurrent.futures.ProcessPoolExecutor):
@@ -354,7 +349,7 @@ class TestAgainstScalarOracle:
                 for workers in (1, 2):
                     cfg = ScanConfig(workers=workers)
                     assert scan(g, f, GRID_X, cfg) == want, (f, size, cfg)
-        # 18 segments of 4096 start a pool of 2 for each modulus; 7 of
+        # 18 base segments of 4096 start a pool of 2 for each modulus; 7 of
         # 10007 and 2 of the default run in process
         assert pools == [2] * len(GRID_MODULI)
 
@@ -373,7 +368,8 @@ class TestAgainstScalarOracle:
                     assert got == (len(primes), *_scalar_classes(terms, f)), (g, f)
 
     def test_table_replaces_euler_pass(self, monkeypatch):
-        # with a table, the only modular power left is the odd-q order test
+        # with a table, the only modular powers left are the odd-q order
+        # tests, one element per (p, q) pair
         scan_module = sys.modules["rootdensity.scan"]
         calls = []
 
@@ -383,15 +379,82 @@ class TestAgainstScalarOracle:
 
         monkeypatch.setattr(scan_module, "_pow_mod", counted)
         base_primes = prime_sieve(math.isqrt(GRID_X)).tolist()
+        primes = list(sympy.primerange(5, GRID_X + 1))  # the p not dividing 12
         for g in (2, -3, 21**7):
             base = make_base(g)
             job = (g, 12, 2, GRID_X + 1, base_primes, base.h)
+            candidates = [p for p in primes if g % p]
+            pairs = sum(sum(q != 2 for q in factor(p - 1).primes())
+                        for p in candidates if kronecker(g, p) == -1)
             calls.clear()
             with_table = _scan_segment((*job, _kronecker_table(base.delta)))
-            assert len(calls) == 1
+            assert sum(calls) == pairs
             calls.clear()
             assert _scan_segment((*job, None)) == with_table
-            assert len(calls) == 2
+            # without: the Euler pass over every candidate for (g|p)
+            assert sum(calls) == pairs + len(candidates)
+
+
+class TestBoundedSegment:
+    """A segment's order test runs in slices of `_PAIR_CHUNK` pairs and its
+    stride pass in batches of about `_POSITION_BATCH` positions."""
+
+    @pytest.mark.parametrize("g", (2, -223092870, 27))
+    def test_slice_and_batch_edges(self, g, monkeypatch):
+        # 8 segments of 2^12 to 30 000, each within one slice and one
+        # batch at the default sizes, then one pair and one position per
+        # slice and batch, and 7 of each; every element goes to _pow_mod
+        # exactly once
+        elements = []
+
+        def counted(base, exp, mod):
+            elements.append(len(base))
+            return _pow_mod(base, exp, mod)
+
+        monkeypatch.setattr(SCAN_MODULE, "_pow_mod", counted)
+        monkeypatch.setattr(ScanConfig, "segment_size", 1 << 11)
+        x = 30_000
+        want = scan(g, 12, x)
+        # one order test per segment, and one Euler pass without a table
+        assert len(elements) == 8 * (1 + (g == -223092870))
+        total = sum(elements)
+        for size in (1, 7):
+            monkeypatch.setattr(SCAN_MODULE, "_PAIR_CHUNK", size)
+            monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", size)
+            elements.clear()
+            assert scan(g, 12, x) == want, size
+            assert max(elements) <= size and sum(elements) == total, size
+
+    @staticmethod
+    def _peak(g: int, lo: int, x: int) -> int:
+        """The tracemalloc peak in bytes of one segment of scan(g, 4, x)
+        from lo, after a first call has warmed every cache."""
+        base = make_base(g)
+        job = (g, 4, lo, lo + _segment_length(x), prime_sieve(math.isqrt(x)).tolist(),
+               base.h, _kronecker_table(base.delta))
+        _scan_segment(job)
+        tracemalloc.start()
+        try:
+            _scan_segment(job)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # the peaks of one 2^16-number segment of scan(g, 4, 5 * 10^6) from
+    # lo = 2 and from lo = 4 * 10^6, measured before the order test ran in
+    # slices and the stride pass in batches (numpy 2.4)
+    @pytest.mark.parametrize("g, before", [
+        (2, (865_662, 669_760)),
+        (-223092870, (848_914, 674_395)),
+    ])
+    def test_working_set(self, g, before):
+        # a 2^17-number segment holds no more than a 2^16 one did
+        assert _segment_length(5 * 10**6) == 1 << 17
+        for lo, peak in zip((2, 4_000_000), before):
+            assert self._peak(g, lo, 5 * 10**6) <= peak, lo
+        # and a 2^19-number one near 3 * 10^7 stays under 3.2 MB, where it
+        # peaked at 4.7 MB
+        assert self._peak(g, 3 * 10**7 - (1 << 19), 3 * 10**7) < 3_200_000
 
 
 class TestArrayKernels:
@@ -444,6 +507,21 @@ class TestArrayKernels:
         want = sorted((i, r) for i, n in enumerate(ns.tolist()) for r in factor(n - 1).primes())
         assert pairs == want
         assert phi.tolist() == [euler_phi(n - 1) for n in ns.tolist()]
+
+    def test_sieve_divisors_in_batches(self, monkeypatch):
+        # the same (idx, q) in the same order for any batch size: one
+        # position or seven per batch against one batch of them all, on
+        # every other prime of a window at the bottom and one at X_CAP
+        base_primes = prime_sieve(math.isqrt(X_CAP)).tolist()
+        for lo, hi in [(3, 30_000), (X_CAP + 1 - (1 << 15), X_CAP + 1)]:
+            ns = segment_primes(lo, hi, base_primes)[::2]
+            monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", 1 << 30)
+            idx, q = _sieve_divisors(ns, base_primes)
+            for size in (1, 7, 1 << 12):
+                monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", size)
+                got_idx, got_q = _sieve_divisors(ns, base_primes)
+                assert got_idx.dtype == got_q.dtype == np.int32
+                assert np.array_equal(got_idx, idx) and np.array_equal(got_q, q), (lo, size)
 
     @given(st.integers(-(2**63), 2**63), st.integers(3, X_CAP - 3000))
     @example(-(2**63), X_CAP - 3000)
