@@ -19,15 +19,21 @@ Each segment is array work, with no loop over its primes:
   the heuristic's filter, so about half the primes stop here.
 - For the rest, sieving the shifted window of the values p - 1
   (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
-  phi(p - 1).
-- One modular power per slice of _PAIR_CHUNK pairs (p, q) with q odd
-  decides g^((p-1)/q) != 1, by `_pow_mod`: left to right in 3-bit
-  windows, from a table of g^0 .. g^7 mod p per pair, so each 3 bits of
-  the exponent cost three squarings and one table multiply, and a slice
-  holds the same memory whatever the segment length.  It runs in int64:
-  residues are below p <= X_CAP = 10^8 < 2^27 (`density.X_CAP`, which
-  also bounds the series' N), so the table fits int32 and the product of
-  two residues is below 2^54 and never wraps.
+  phi(p - 1).  Where g = g0^h, a p with a prime r | gcd(p - 1, h) is
+  decided without a power, as g's order divides (p - 1)/r; the heuristic
+  skips the same primes.
+- `_pow_mod` decides g^((p-1)/q) != 1 for the odd q | p - 1, in slices
+  of _PAIR_CHUNK pairs (p, q): left to right in 3-bit windows, from one
+  table of g^0 .. g^7 mod p per prime (`_window_table`), so each 3 bits
+  of the exponent cost three squarings and one table multiply.  The
+  pairs come by q ascending, with the large cofactors last, and each
+  slice drops the pairs of primes already decided, so a p that fails at
+  q = 3 is not tested at its larger q.  A slice holds the same memory
+  whatever the segment length; the table, 32 bytes per prime, is built
+  after the factoring's peak.  It runs in int64: residues are below
+  p <= X_CAP = 10^8 < 2^27 (`density.X_CAP`, which also bounds the
+  series' N), so the table fits int32 and the product of two residues is
+  below 2^54 and never wraps.
 - Per-class counts come from np.bincount, and `sieves.floor_sums` adds
   the heuristic terms floor(phi(p-1) * 2^96 / (p-1)) per class exactly.
 
@@ -70,10 +76,11 @@ _TABLE_CAP = 1 << 12
 _WINDOW = 3
 
 # elements per `_pow_mod` call in the Euler pass and the order test, about
-# 100 bytes each (inputs, result, table): 2^11 to 2^13 took the same time
-# on a 2^17 segment near 4*10^6, where 2^13 peaked at 1.0 MB against 0.65;
-# on a 2^19 segment near 3*10^7, 2^12 took 19.0 ms against 22.0 for one
-# call over all pairs (2-vCPU Xeon)
+# 100 bytes each in the Euler pass, which builds a table per slice, and 70
+# in the order test (inputs, result, gather buffers): 2^11 to 2^13 took
+# the same time on a 2^17 segment near 4*10^6, where 2^13 peaked at 1.0 MB
+# against 0.65; on a 2^19 segment near 3*10^7, 2^12 took 19.0 ms against
+# 22.0 for one call over all pairs (2-vCPU Xeon)
 _PAIR_CHUNK = 1 << 12
 
 # a pool pays for its start-up only with at least this many base segments
@@ -93,10 +100,12 @@ class ScanConfig:
     from there, as each segment walks the base primes up to sqrt(x) once
     per sieve.  The order test runs in slices of `_PAIR_CHUNK` pairs and
     the stride pass in batches of about `sieves._POSITION_BATCH`
-    positions, so what grows with a segment is its sieve flags, its
-    arrays per prime and per (p, q) pair, and the stride pass's map of 4
-    bytes per odd number.  A segment peaks near 0.8 MB at 2^17 and
-    2.4 MB at 2^19 (by tracemalloc), and every pool worker holds one.  A
+    positions, so what grows with a segment is its sieve flags (one
+    byte per odd number), its arrays per prime, among them the order
+    test's window table of 32 bytes per prime with (g|p) = -1, its
+    arrays per (p, q) pair, and the stride pass's map of 4 bytes per odd
+    number.  A segment peaks near 0.83 MB at 2^17 and 2.44 MB at 2^19
+    (by tracemalloc), and every pool worker holds one.  A
     pool gets at most `workers` processes, one per usable core and one
     per `_JOBS_PER_WORKER` base segments that x spans, whatever the
     segment length; with fewer than two, the segments run in process,
@@ -154,34 +163,49 @@ def is_primitive_root(g: int, p: int) -> bool:
     return all(pow(g, pm1 // q, p) != 1 for q in factor(pm1).primes())
 
 
-def _pow_mod(base: np.ndarray, exp: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """base**exp % mod elementwise over int64 arrays, for 0 <= base < mod
-    <= 2**31 and exp >= 0; base and exp are not modified.
+def _window_table(base: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """base^0 .. base^7 % mod per element, as an (n, 8) int32 table, for
+    int64 arrays with 0 <= base < mod <= 2**31; base is not modified.
 
-    Left to right in fixed 3-bit windows (_WINDOW): a table of base^0 ..
-    base^7 per element gives the leading digit of exp, and each later
-    digit costs three squarings and one multiply by a table entry, where
-    binary square-and-multiply pays a square, a multiply and two
-    remainders per bit.  The table is int32, as mod <= 2**31 bounds every
-    residue: 32 bytes per element.  A product of two residues is below
+    Each row is the window table `_pow_mod` reads: six modular products
+    per element, 32 bytes per element.  mod <= 2**31 bounds every residue,
+    so int32 holds it, and a product of two residues is below 2**62.
+    """
+    size = 1 << _WINDOW
+    table = np.empty((len(base), size), dtype=np.int32)
+    table[:, 0] = 1
+    table[:, 1] = base
+    power = base.copy()
+    for k in range(2, size):
+        power *= base
+        power %= mod
+        table[:, k] = power
+    return table
+
+
+def _pow_mod(
+    table: np.ndarray, row: np.ndarray, exp: np.ndarray, mod: np.ndarray
+) -> np.ndarray:
+    """base**exp % mod elementwise, where base is the element's row of a
+    `_window_table` built for that mod: table[row] holds base^0 .. base^7
+    % mod, for exp >= 0; no input is modified.
+
+    Left to right in fixed 3-bit windows (_WINDOW): the table gives the
+    leading digit of exp, and each later digit costs three squarings and
+    one multiply by a table entry, where binary square-and-multiply pays
+    a square, a multiply and two remainders per bit.  One table serves
+    every exponent taken of its bases, so a prime's table is built once
+    whatever the number of q tested.  A product of two residues is below
     mod**2 <= 2**62, so no product wraps int64.
     """
-    n = len(base)
+    n = len(row)
     result = np.ones(n, dtype=np.int64)
     bits = int(exp.max()).bit_length() if n else 0
     if not bits:
         return result
     size = 1 << _WINDOW
-    table = np.empty((n, size), dtype=np.int32)
-    table[:, 0] = 1
-    table[:, 1] = base
-    result[:] = base
-    for k in range(2, size):
-        result *= base
-        result %= mod
-        table[:, k] = result
     flat = table.ravel()
-    rows = np.arange(0, n * size, size)
+    rows = np.multiply(row, size, dtype=np.intp)
     digit = np.empty(n, dtype=np.intp)
     entry = np.empty(n, dtype=np.int32)
     shift = (bits - 1) // _WINDOW * _WINDOW
@@ -253,24 +277,37 @@ def _scan_segment(args: tuple) -> tuple:
         keep = np.empty(len(p), dtype=bool)
         for start in range(0, len(p), _PAIR_CHUNK):
             s = slice(start, start + _PAIR_CHUNK)
-            keep[s] = _pow_mod(gp[s], p[s] >> 1, p[s]) == p[s] - 1
+            rows = np.arange(len(p[s]), dtype=np.int32)
+            keep[s] = _pow_mod(_window_table(gp[s], p[s]), rows, p[s] >> 1, p[s]) == p[s] - 1
     else:
         keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]
     idx, q, phi = factor_predecessors(p, base_primes)
+    # built past factor_predecessors' peak, and gp is not needed after it
+    windows = _window_table(gp, p)
+    del gp
     odd = q != 2
     idx, q = idx[odd], q[odd]
-    # g has full order mod p unless g^((p-1)/q) = 1 for some odd q | p - 1
-    fails = np.zeros(len(p), dtype=bool)
+    # g = g0^h has order dividing (p - 1)/r for a prime r | gcd(p - 1, h), so
+    # those p fail without a power, and the heuristic skips the same p
+    if h == 1:
+        coprime = np.ones(len(p), dtype=bool)
+    else:
+        coprime = np.gcd(p - 1, h) == 1
+    # g has full order mod p unless g^((p-1)/q) = 1 for some odd q | p - 1;
+    # the pairs come by q ascending, so a p that fails at a small q drops
+    # out before its larger q are tested
+    fails = ~coprime
     for start in range(0, len(idx), _PAIR_CHUNK):
         s = slice(start, start + _PAIR_CHUNK)
         i = idx[s]
+        live = ~fails[i]
+        i = i[live]
         p_pair = p[i]
-        fails[i[_pow_mod(gp[i], (p_pair - 1) // q[s], p_pair) == 1]] = True
+        fails[i[_pow_mod(windows, i, (p_pair - 1) // q[s][live], p_pair) == 1]] = True
     hits = _by_class(key[~fails], lo, f)
-    keep = np.gcd(p - 1, h) == 1
     # phi(p - 1) < p - 1, as floor_sums asks of an array numerator
-    nz, sums = floor_sums(key[keep], phi[keep], p[keep] - 1, _HEUR_BITS)
+    nz, sums = floor_sums(key[coprime], phi[coprime], p[coprime] - 1, _HEUR_BITS)
     heur = dict(zip(_classes(nz, lo, f), sums))
     return total, in_class, hits, heur
 

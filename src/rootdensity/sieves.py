@@ -1,14 +1,15 @@
 """Sieve-built prime lists, p - 1 factorizations, multiplicative-function
 tables, and exact per-key sums of floored quotients (`floor_sums`).
 
-The scanning harness sieves [2, x] in cache-sized segments, then sieves the
-same window shifted by one to factor p - 1 for the primes it found; the
-series evaluator wants Moebius and totient values for every index up to its
-truncation point.  Both tables come from one sieve over the primes up to
-the square root of the limit, which leaves each index with at most one
-larger prime factor to apply.  One cache holds the table pair of the
-last limit asked for, and both arrays are read-only: a write into either
-raises ValueError rather than corrupt every later caller.
+The scanning harness sieves the odd numbers of [2, x] in cache-sized
+segments, then sieves the same window shifted by one to factor p - 1 for
+the primes it found; the series evaluator wants Moebius and totient
+values for every index up to its truncation point.  Both tables come
+from one sieve over the primes up to the square root of the limit, which
+leaves each index with at most one larger prime factor to apply.  One
+cache holds the table pair of the last limit asked for, and both arrays
+are read-only: a write into either raises ValueError rather than corrupt
+every later caller.
 
 `density.X_CAP` bounds both the scan's x and the series' N, so the Moebius
 table is int8 and the totient table int32.
@@ -45,19 +46,30 @@ def prime_sieve(limit: int) -> np.ndarray:
 
 
 def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
-    """Primes in [lo, hi) as an int64 array; base_primes must cover
-    sqrt(hi - 1)."""
+    """Primes in [lo, hi) as an int64 array; base_primes must list every
+    prime up to sqrt(hi - 1), ascending.
+
+    One flag per odd number of the window, so the base prime 2 strides
+    nothing and 2 itself is added when lo <= 2.  Each odd base prime p
+    clears its odd multiples from max(p^2, lo) on, a step of 2p in
+    number and of p in flags.
+    """
     lo = max(lo, 2)
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
-    flags = np.ones(hi - lo, dtype=bool)
-    for p in base_primes:
+    first = lo | 1  # flags[t] stands for first + 2t
+    flags = np.ones((hi - first + 1) // 2, dtype=bool)
+    for p in base_primes[1:]:
         if p * p >= hi:
             break
         start = max(p * p, ((lo + p - 1) // p) * p)
-        flags[start - lo :: p] = False
+        start += p * (start % 2 == 0)
+        flags[(start - first) // 2 :: p] = False
     primes = np.flatnonzero(flags)
-    primes += lo
+    primes *= 2
+    primes += first
+    if lo == 2:
+        primes = np.concatenate([[2], primes])
     return primes
 
 
