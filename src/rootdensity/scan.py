@@ -283,6 +283,8 @@ def _scan_segment(args: tuple) -> tuple:
         keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]
     idx, q, phi = factor_predecessors(p, base_primes)
+    odd = q != 2
+    idx, q = idx[odd], q[odd]
     # g = g0^h has order dividing (p - 1)/r for a prime r | gcd(p - 1, h), so
     # those p fail without a power, and the heuristic skips the same p
     if h == 1:
@@ -292,12 +294,11 @@ def _scan_segment(args: tuple) -> tuple:
     # phi(p - 1) < p - 1, as floor_sums asks of an array numerator
     nz, sums = floor_sums(key[coprime], phi[coprime], p[coprime] - 1, _HEUR_BITS)
     heur = dict(zip(_classes(nz, lo, f), sums))
-    # built past the peaks of factor_predecessors and floor_sums; gp is not
-    # needed after it
+    # the table is built past the peaks of factor_predecessors and
+    # floor_sums, with phi freed first; gp is not needed after it
+    del phi
     windows = _window_table(gp, p)
     del gp
-    odd = q != 2
-    idx, q = idx[odd], q[odd]
     # g has full order mod p unless g^((p-1)/q) = 1 for some odd q | p - 1;
     # the pairs come by q ascending, so a p that fails at a small q drops
     # out before its larger q are tested
