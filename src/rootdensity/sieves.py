@@ -50,14 +50,15 @@ def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
     prime up to sqrt(hi - 1), ascending.
 
     One flag per odd number of the window, so the base prime 2 strides
-    nothing and 2 itself is added when lo <= 2.  Each odd base prime p
-    clears its odd multiples from max(p^2, lo) on, a step of 2p in
-    number and of p in flags.
+    nothing, and from lo <= 2 the prime 2 takes the place of 1, whose
+    flag no prime clears.  Each odd base prime p clears its odd
+    multiples from max(p^2, lo) on, a step of 2p in number and of p in
+    flags.
     """
     lo = max(lo, 2)
     if hi <= lo:
         return np.zeros(0, dtype=np.int64)
-    first = lo | 1  # flags[t] stands for first + 2t
+    first = 1 if lo == 2 else lo | 1  # flags[t] stands for first + 2t
     flags = np.ones((hi - first + 1) // 2, dtype=bool)
     for p in base_primes[1:]:
         if p * p >= hi:
@@ -69,7 +70,7 @@ def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
     primes *= 2
     primes += first
     if lo == 2:
-        primes = np.concatenate([[2], primes])
+        primes[0] = 2
     return primes
 
 
