@@ -30,6 +30,7 @@ from rootdensity.scan import (
     _pow_mod,
     _scan_segment,
     _segment_length,
+    _window_table,
     is_primitive_root,
     li,
     scan,
@@ -312,6 +313,36 @@ def _scalar_classes(terms, f: int) -> tuple[Counter, Counter, Counter]:
     return +in_class, +hits, +heur
 
 
+def _tested_pairs(g: int, primes) -> int:
+    """The (p, q) pairs the order test must take one at a time: for each
+    odd p not dividing g with (g|p) = -1 and gcd(p - 1, h) = 1, its odd
+    q | p - 1 in ascending order, up to and including the first q with
+    g^((p-1)/q) = 1 (mod p), by the scalar oracles."""
+    h = make_base(g).h
+    pairs = 0
+    for p in primes:
+        if p == 2 or g % p == 0 or kronecker(g, p) != -1 or math.gcd(p - 1, h) != 1:
+            continue
+        for q in sorted(factor(p - 1).primes())[1:]:
+            pairs += 1
+            if pow(g, (p - 1) // q, p) == 1:
+                break
+    return pairs
+
+
+def _counting_pow_mod(monkeypatch) -> list[int]:
+    """Wrap the scan's `_pow_mod` to record the number of elements of
+    each call; returns the list of recorded counts."""
+    elements = []
+
+    def counted(table, row, exp, mod):
+        elements.append(len(row))
+        return _pow_mod(table, row, exp, mod)
+
+    monkeypatch.setattr(SCAN_MODULE, "_pow_mod", counted)
+    return elements
+
+
 @lru_cache(maxsize=None)
 def _grid_terms(g: int) -> list[tuple[int, bool, int]]:
     return _scalar_terms(g, list(sympy.primerange(2, GRID_X + 1)))
@@ -369,30 +400,24 @@ class TestAgainstScalarOracle:
 
     def test_table_replaces_euler_pass(self, monkeypatch):
         # with a table, the only modular powers left are the odd-q order
-        # tests, one element per (p, q) pair
-        scan_module = sys.modules["rootdensity.scan"]
-        calls = []
-
-        def counted(base, exp, mod):
-            calls.append(len(base))
-            return _pow_mod(base, exp, mod)
-
-        monkeypatch.setattr(scan_module, "_pow_mod", counted)
+        # tests, one element per (p, q) pair that is still open: one pair
+        # per slice shows each p stop at the first q that decides it
+        elements = _counting_pow_mod(monkeypatch)
+        monkeypatch.setattr(SCAN_MODULE, "_PAIR_CHUNK", 1)
         base_primes = prime_sieve(math.isqrt(GRID_X)).tolist()
         primes = list(sympy.primerange(5, GRID_X + 1))  # the p not dividing 12
         for g in (2, -3, 21**7):
             base = make_base(g)
             job = (g, 12, 2, GRID_X + 1, base_primes, base.h)
             candidates = [p for p in primes if g % p]
-            pairs = sum(sum(q != 2 for q in factor(p - 1).primes())
-                        for p in candidates if kronecker(g, p) == -1)
-            calls.clear()
+            pairs = _tested_pairs(g, primes)
+            elements.clear()
             with_table = _scan_segment((*job, _kronecker_table(base.delta)))
-            assert sum(calls) == pairs
-            calls.clear()
+            assert sum(elements) == pairs
+            elements.clear()
             assert _scan_segment((*job, None)) == with_table
             # without: the Euler pass over every candidate for (g|p)
-            assert sum(calls) == pairs + len(candidates)
+            assert sum(elements) == pairs + len(candidates)
 
 
 class TestBoundedSegment:
@@ -403,27 +428,43 @@ class TestBoundedSegment:
     def test_slice_and_batch_edges(self, g, monkeypatch):
         # 8 segments of 2^12 to 30 000, each within one slice and one
         # batch at the default sizes, then one pair and one position per
-        # slice and batch, and 7 of each; every element goes to _pow_mod
-        # exactly once
-        elements = []
-
-        def counted(base, exp, mod):
-            elements.append(len(base))
-            return _pow_mod(base, exp, mod)
-
-        monkeypatch.setattr(SCAN_MODULE, "_pow_mod", counted)
+        # slice and batch, and 7 of each; an element goes to _pow_mod at
+        # most once, and with one pair per slice exactly while its p is
+        # still open
+        elements = _counting_pow_mod(monkeypatch)
         monkeypatch.setattr(ScanConfig, "segment_size", 1 << 11)
         x = 30_000
         want = scan(g, 12, x)
         # one order test per segment, and one Euler pass without a table
         assert len(elements) == 8 * (1 + (g == -223092870))
-        total = sum(elements)
+        primes = list(sympy.primerange(5, x + 1))  # the p not dividing 12
+        euler = sum(1 for p in primes if g % p) if g == -223092870 else 0
+        pair_total = euler + sum(
+            sum(q != 2 for q in factor(p - 1).primes())
+            for p in primes if g % p and kronecker(g, p) == -1)
+        assert sum(elements) <= pair_total
         for size in (1, 7):
             monkeypatch.setattr(SCAN_MODULE, "_PAIR_CHUNK", size)
             monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", size)
             elements.clear()
             assert scan(g, 12, x) == want, size
-            assert max(elements) <= size and sum(elements) == total, size
+            assert max(elements) <= size and sum(elements) <= pair_total, size
+            if size == 1:
+                assert sum(elements) == euler + _tested_pairs(g, primes)
+
+    @pytest.mark.parametrize("g", (2, 27, 21**7))
+    def test_decided_primes_skip_the_order_test(self, g, monkeypatch):
+        # bases with h = 1, 3 and 7: with one pair per slice, the powers
+        # taken are exactly the pairs of primes still open, those with
+        # gcd(p - 1, h) > 1 never open, and the counts are unchanged
+        x = 30_000
+        want = scan(g, 1, x)
+        primes = list(sympy.primerange(3, x + 1))
+        assert want[1].hits == sum(1 for p in primes if g % p and is_primitive_root(g, p))
+        elements = _counting_pow_mod(monkeypatch)
+        monkeypatch.setattr(SCAN_MODULE, "_PAIR_CHUNK", 1)
+        assert scan(g, 1, x) == want
+        assert sum(elements) == _tested_pairs(g, primes)
 
     @staticmethod
     def _peak(g: int, lo: int, x: int) -> int:
@@ -475,10 +516,18 @@ class TestArrayKernels:
         base = np.array([b % m for m, b, _ in rows], dtype=np.int64)
         exp = np.array([e for _, _, e in rows], dtype=np.int64)
         want = [pow(int(b), int(e), int(m)) for m, b, e in zip(mod, base, exp)]
-        assert _pow_mod(base, exp, mod).tolist() == want
+        table = _window_table(base, mod)
+        assert table.dtype == np.int32 and table.shape == (len(rows), 8)
+        frozen = table.copy()
+        row = np.arange(len(rows))
+        assert _pow_mod(table, row, exp, mod).tolist() == want
+        # each element reads the row it names, in any order
+        assert _pow_mod(table, row[::-1], exp[::-1], mod[::-1]).tolist() == want[::-1]
         # the inputs are left as they were
         assert base.tolist() == [b % m for m, b, _ in rows]
         assert exp.tolist() == [e for _, _, e in rows]
+        assert mod.tolist() == [m for m, _, _ in rows]
+        assert np.array_equal(table, frozen) and row.tolist() == list(range(len(rows)))
 
     @given(st.integers(1, X_CAP // 2 - 1000),
            st.lists(st.integers(0, 999), min_size=1, max_size=60, unique=True))
@@ -535,7 +584,7 @@ class TestArrayKernels:
         assert gp.tolist() == [g % int(r) for r in p]
         keep = gp != 0
         p, gp = p[keep], gp[keep]
-        power = _pow_mod(gp, p >> 1, p)
+        power = _pow_mod(_window_table(gp, p), np.arange(len(p)), p >> 1, p)
         sign = np.where(power == p - 1, -1, power)
         assert sign.tolist() == [kronecker(g, int(r)) for r in p]
 

@@ -1,11 +1,21 @@
+import math
+
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from rootdensity.arith import euler_phi, mobius
-from rootdensity.sieves import X_CAP, _mu_phi, floor_sums, mobius_table, phi_table, prime_sieve
+from rootdensity.sieves import (
+    X_CAP,
+    _mu_phi,
+    floor_sums,
+    mobius_table,
+    phi_table,
+    prime_sieve,
+    segment_primes,
+)
 
 _TOP = 2 * 10**4
 _PRIME_POWERS = sorted(
@@ -69,6 +79,28 @@ def test_prime_sieve_against_sympy():
         primes = prime_sieve(limit)
         assert primes.dtype == np.int64
         assert primes.tolist() == list(sympy.primerange(limit + 1)), limit
+
+
+@given(st.one_of(st.integers(0, 4), st.integers(5, X_CAP - 3000)),
+       st.one_of(st.integers(0, 2), st.integers(3, 3000)))
+# the window from 2 holds 2 alone; from 3, one odd flag; the last
+# window below the cap; empty and one-number windows of either parity
+@example(2, 1)
+@example(2, 2)
+@example(3, 1)
+@example(X_CAP - 3000, 3000)
+@example(4, 0)
+@example(9, 1)
+@example(10, 2)
+@settings(max_examples=200, deadline=None)
+def test_segment_primes_against_sympy(lo, width):
+    # one flag per odd number: 2 comes in only when lo <= 2, and every
+    # window edge, even or odd, keeps the primes of [lo, lo + width)
+    hi = lo + width
+    base_primes = prime_sieve(math.isqrt(max(hi - 1, 1))).tolist()
+    primes = segment_primes(lo, hi, base_primes)
+    assert primes.dtype == np.int64
+    assert primes.tolist() == list(sympy.primerange(lo, hi))
 
 
 def _exact_floor_sums(key, num, den, bits, weight) -> dict[int, int]:
