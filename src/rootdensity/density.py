@@ -7,13 +7,14 @@ density is an explicit rational multiple of the Artin constant
 
     A = prod_p (1 - 1/(p(p-1))) = 0.3739558136...
 
-This module computes the rational coefficient exactly, by two
-independently coded routes: `delta_closed` keyed off the discriminant of
-the quadratic field generated by sqrt(g), and `delta_closed_v2` keyed off
-the squarefree kernel of g.  The intermediate quantities both routes are
-assembled from (h, the discriminant, b, gamma, the weight w, the Euler
-factor coefficient, the correction sum) are exposed so that every
-identity relating them can be tested as exact rational equality.
+This module computes the rational coefficient exactly, by two routes:
+`delta_closed` keyed off the discriminant of the quadratic field
+generated by sqrt(g), and `delta_closed_v2` keyed off the squarefree
+kernel of g.  Both take the Euler factor from the one helper behind
+`coeff_A`.  Route 1 takes its correction from `gamma_factor` and `w`, as
+`s_of_b` does; route 2 codes its own (g1 mod 4, beta, gamma1), so their
+equality checks `w` and the degree lemma in it.  Every identity relating
+the exposed quantities can be tested as exact rational equality.
 The arithmetic of each closed form is exact in integers and normalised
 once into a `Fraction`.
 
@@ -226,14 +227,13 @@ def _coeff_A_fixed(f: int, h: int) -> tuple[int, int]:
     return num // common, den // common
 
 
-def _coeff_A_pair(a: int, f: int, h: int) -> tuple[int, int]:
-    # coeff_A as an unreduced pair (num, den) with den > 0; (0, 1) when
-    # gcd(a-1, f, h) > 1
-    m = math.gcd(a - 1, f)
+def _coeff_A_at(m: int, f: int, h: int) -> tuple[int, int]:
+    # the coefficient of A at m = gcd(a-1, f) as an unreduced pair
+    # (num, den) with den > 0; (0, 1) when gcd(m, h) > 1
     if math.gcd(m, h) > 1:
         return 0, 1
     num, den = _coeff_A_fixed(f, h)
-    for p in factor(m).primes():
+    for p, _ in factor(m).factors:
         num *= p - 1
         den *= p
     return num, den
@@ -247,7 +247,15 @@ def coeff_A(prog: Progression, h: int) -> Fraction:
     renormalized against the full Artin product by exact division over
     the finitely many primes dividing f*h.
     """
-    return Fraction(*_coeff_A_pair(prog.a, prog.f, h))
+    return Fraction(*_coeff_A_at(math.gcd(prog.a - 1, prog.f), prog.f, h))
+
+
+def _correction_denom(b: int, f: int, h: int) -> int:
+    """prod_{p|b} (w(p, f, h) - 1), the quadratic correction's denominator."""
+    denom = 1
+    for p in factor(abs(b)).primes():
+        denom *= w(p, f, h) - 1
+    return denom
 
 
 def s_of_b(prog: Progression, base: Base) -> Fraction:
@@ -260,9 +268,7 @@ def s_of_b(prog: Progression, base: Base) -> Fraction:
     b, _ = gamma_factor(prog.f, base)
     if b % 2 == 0:
         return Fraction(0)
-    denom = 1
-    for p in factor(abs(b)).primes():
-        denom *= w(p, prog.f, base.h) - 1
+    denom = _correction_denom(b, prog.f, base.h)
     return Fraction(-mobius(2 * abs(b)), denom) * coeff_A(prog, base.h)
 
 
@@ -284,15 +290,16 @@ class _Context:
 
     The density of a mod f depends on a only through m = gcd(a-1, f) and
     one Kronecker symbol chi = (top | a), which is read only when the
-    correction weight mu is nonzero.  num/den is the coefficient of A at
-    m = 1 divided by phi(f), and denom is the correction's denominator;
-    memo maps (m, chi) to the density value.
+    correction weight mu is nonzero.  The density at (m, chi) is the
+    coefficient of A at m (`_coeff_A_at`, shared by both routes) over
+    phi = phi(f), times (denom + correction) / denom.  Route 1 takes top,
+    mu and denom from `gamma_factor` and `_correction_denom`; route 2
+    codes its own.  memo maps (m, chi) to the density value.
     """
 
+    f: int
     h: int
-    num: int
-    den: int
-    primes: tuple[int, ...]
+    phi: int
     top: int
     mu: int
     denom: int
@@ -300,33 +307,22 @@ class _Context:
 
 
 def _memo_value(ctx: _Context, m: int, correction: int) -> DensityValue:
-    # the density at gcd(a-1, f) = m: (p-1)/p for each prime of f dividing
-    # m, then the factor (denom + correction) / denom
-    if math.gcd(m, ctx.h) > 1:
-        return DensityValue(Fraction(0))
-    num, den = ctx.num, ctx.den
-    for p in ctx.primes:
-        if m % p == 0:
-            num *= p - 1
-            den *= p
+    # the density at gcd(a-1, f) = m: the coefficient of A at m over
+    # phi(f), times the factor (denom + correction) / denom
+    num, den = _coeff_A_at(m, ctx.f, ctx.h)
     num *= ctx.denom + correction
-    den *= ctx.denom
     # every factor of den is positive, so this is the sign of the density
     assert num >= 0
-    return DensityValue(Fraction(num, den))
+    return DensityValue(Fraction(num, den * ctx.phi * ctx.denom))
 
 
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _closed_context(f: int, g: int) -> _Context:
     base = make_base(g)
-    num, den = _coeff_A_fixed(f, base.h)
     b, gamma = gamma_factor(f, base)
     mu2b = mobius(2 * abs(b))
-    denom = 1
-    if mu2b:
-        for p in factor(abs(b)).primes():
-            denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-    return _Context(base.h, num, den * euler_phi(f), factor(f).primes(), gamma, mu2b, denom, {})
+    denom = _correction_denom(b, f, base.h) if mu2b else 1
+    return _Context(f, base.h, euler_phi(f), gamma, mu2b, denom, {})
 
 
 def delta_closed(prog: Progression, g: int) -> DensityValue:
@@ -344,7 +340,6 @@ def delta_closed(prog: Progression, g: int) -> DensityValue:
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
 def _closed_v2_context(f: int, g: int) -> _Context:
     base = make_base(g)
-    num, den = _coeff_A_fixed(f, base.h)
     g1 = base.g1
     active = (
         g1 % 4 == 1
@@ -361,7 +356,7 @@ def _closed_v2_context(f: int, g: int) -> _Context:
         mu_beta = mobius(abs(beta))
         for p in factor(abs(beta)).primes():
             denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-    return _Context(base.h, num, den * euler_phi(f), factor(f).primes(), gamma1, mu_beta, denom, {})
+    return _Context(f, base.h, euler_phi(f), gamma1, mu_beta, denom, {})
 
 
 def delta_closed_v2(prog: Progression, g: int) -> DensityValue:

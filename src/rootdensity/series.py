@@ -61,18 +61,22 @@ def _needs_symbol(even, on_delta, splits):
     return even & splits & np.logical_not(on_delta)
 
 
+def _splits(n: int, f: int, base: Base) -> bool:
+    """Whether the discriminant divides lcm(f, n) = f * (n / gcd(f, n)),
+    for squarefree n: iff |b| (`gamma_factor`) divides n / gcd(f, n)."""
+    return n // math.gcd(f, n) % abs(gamma_factor(f, base)[0]) == 0
+
+
 def degree_nkr(k: int, f: int, base: Base) -> int:
     """Degree over Q of the field of lcm(f, k)-th roots of unity and a k-th
-    root of g, for squarefree k (the lemma in `density._degree`).  With
-    d = gcd(k, f), phi(lcm(f, k)) = phi(f) * phi(k) / phi(d), and the
-    discriminant divides lcm(f, k) = f * (k / d) iff |b| (`gamma_factor`) divides k / d."""
+    root of g, for squarefree k (the lemma in `density._degree`), with
+    phi(lcm(f, k)) = phi(f) * phi(k) / phi(gcd(k, f))."""
     if k < 1 or f < 1:
         raise ValueError(f"need k, f >= 1, got k={k}, f={f}")
     if not is_squarefree(k):
         raise ValueError(f"k must be squarefree, got {k}")
-    d = math.gcd(k, f)
-    splits = k // d % abs(gamma_factor(f, base)[0]) == 0
-    return _degree(k, math.gcd(k, base.h), euler_phi(f) * (euler_phi(k) // euler_phi(d)), splits)
+    phi_r = euler_phi(f) * (euler_phi(k) // euler_phi(math.gcd(k, f)))
+    return _degree(k, math.gcd(k, base.h), phi_r, _splits(k, f, base))
 
 
 def _survives(prog: Progression, base: Base, d: int, special: bool) -> bool:
@@ -94,10 +98,8 @@ def c_a(n: int, prog: Progression, base: Base) -> int:
     """
     if n < 1 or not is_squarefree(n):
         raise ValueError(f"n must be squarefree and >= 1, got {n}")
-    d = math.gcd(prog.f, n)
-    splits = n // d % abs(gamma_factor(prog.f, base)[0]) == 0
-    special = _needs_symbol(n % 2 == 0, n % abs(base.delta) == 0, splits)
-    return int(_survives(prog, base, d, special))
+    special = _needs_symbol(n % 2 == 0, n % abs(base.delta) == 0, _splits(n, prog.f, base))
+    return int(_survives(prog, base, math.gcd(prog.f, n), special))
 
 
 def _multiples(p: int, lo: int, size: int) -> np.ndarray:
@@ -129,10 +131,10 @@ def _bucket_sums(
       2m + needs-symbol takes at most 2^(omega + 1) values;
     - the same stride divides p - 1 out of phi, leaving phi(n / d);
     - gcd(n, h) is a strided product over the primes of h;
-    - with r = lcm(f, n) = f * (n / d), the discriminant divides r iff |b|
-      (`gamma_factor`) divides n / d.  That is squarefree and prime to f,
-      so it holds iff |b| is squarefree, prime to f and divides n: one
-      stride of |b|, or none at all.
+    - the discriminant divides lcm(f, n) iff |b| divides n / d (`_splits`).
+      n / d is squarefree and prime to f, so that holds iff |b| is
+      squarefree, prime to f and divides n: one stride of |b|, or none at
+      all.
 
     The degree array is int64 for any f and g: the degree is
     phi(f) * deg', deg' the lemma at phi(n / d), so deg' <= limit^2

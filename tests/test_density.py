@@ -203,8 +203,10 @@ class TestSOfB:
             assert s_of_b(Progression(a, 8), base) == coeff_A(Progression(a, 8), 1)
 
     def test_proof_identity_small_grid(self):
-        # phi(f) * delta = coeff_A + (gamma | a) * (-S(b)), exactly
-        for g in (-3, 2, 5, 8, 12):
+        # phi(f) * delta = coeff_A + (gamma | a) * (-S(b)), exactly; 27
+        # (b = 3 when 4 | f) and 21^7 (b = 21 when f is prime to 21) reach
+        # w(p) - 1 = p - 2 at p | h
+        for g in (-3, 2, 5, 8, 12, 27, 21**7):
             base = make_base(g)
             for f in range(1, 25):
                 for a in residues(f):

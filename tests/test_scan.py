@@ -368,6 +368,8 @@ class TestAgainstScalarOracle:
                 super().__init__(max_workers=max_workers)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+        # the pool of two below must not depend on the cores of the host
+        monkeypatch.setattr(SCAN_MODULE, "_usable_cores", lambda: 2)
         for f in GRID_MODULI:
             in_class, hits, heur = _scalar_classes(terms, f)
             want = {
