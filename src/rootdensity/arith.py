@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 __all__ = [
     "Factorization",
@@ -82,6 +82,12 @@ class Factorization:
             raise ValueError(f"factors do not multiply back to {self.value}")
 
     def primes(self) -> tuple[int, ...]:
+        """The distinct primes, ascending."""
+        return self._primes
+
+    # built on the first call only: `factor` hands out cached objects
+    @cached_property
+    def _primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
 
 

@@ -16,7 +16,9 @@ exact integer mu(n) * floor(2^192 / D(n)), summed per bucket by
 f and g (its bucket among at most 2^(omega(f) + 1), gcd(n, h) and
 phi(n / gcd(f, n))) comes from strided marks of the primes <= N of f and
 h over each block of n, the way a sieve marks multiples, with no
-per-term gcd.
+per-term gcd.  mu and phi come from `sieves.mu_phi_block` in blocks of
+2^20 numbers, at most two of them cached, about 5 MB each, so the pass
+holds no table that grows with N.
 """
 
 from __future__ import annotations
@@ -30,12 +32,15 @@ import numpy as np
 
 from .arith import euler_phi, factor, is_squarefree, kronecker
 from .density import X_CAP, Base, Progression, _degree, gamma_factor, make_base
-from .sieves import floor_sums, mobius_table, phi_table
+from .sieves import floor_sums, mu_phi_block
 
 __all__ = ["SeriesEstimate", "c_a", "degree_nkr", "series_truncated"]
 
 _WORKING_PRECISION = 50  # digits carried by the partial sum
 _BLOCK = 1 << 15  # n per array pass of _bucket_sums: a traced peak of 1.6 MB
+# n per mu/phi sieve block: [k * 2^20, (k + 1) * 2^20), about 5 MB each, so
+# a limit below 2^20 takes the one block `mobius_table` builds
+_SIEVE_BLOCK = 1 << 20
 _UNIT_BITS = 192  # bucket sums are integers in units of 2^-192
 
 
@@ -139,10 +144,13 @@ def _bucket_sums(
     The degree array is int64 for any f and g: the degree is
     phi(f) * deg', deg' the lemma at phi(n / d), so deg' <= limit^2
     and the floor is floor(floor(2^192 / phi(f)) / deg').
+
+    mu and phi come from `sieves.mu_phi_block` one sieve block at a time,
+    and each sieve block is walked in blocks of _BLOCK numbers by
+    `_block_sums`, whose arrays are gone before the next sieve block is
+    built.
     """
     base = make_base(g)
-    mob = mobius_table(limit)
-    phi = phi_table(limit)
     f_primes = [p for p in factor(f).primes() if p <= limit]
     h_primes = [p for p in factor(base.h).primes() if p <= limit]
     d_of = [1]  # gcd(f, n) by the bitmask of the primes of f dividing n
@@ -152,38 +160,54 @@ def _bucket_sums(
     if abs_b > limit or math.gcd(abs_b, f) > 1 or not is_squarefree(abs_b):
         abs_b = 0  # |b| divides no n / d
     abs_delta = abs(base.delta)
+    if abs_delta > limit:
+        abs_delta = 0  # |delta| divides no n
     top = (1 << _UNIT_BITS) // euler_phi(f)
     sums: dict[int, int] = {}  # by bucket key
-    for lo in range(1, limit + 1, _BLOCK):
-        mu = mob[lo : lo + _BLOCK]
-        at = np.flatnonzero(mu)  # the squarefree n, less lo
-        n = at + lo
-        mark = np.zeros(len(mu), dtype=np.int32)
-        phi_r = phi[lo : lo + _BLOCK].copy()  # to be phi(n / d)
-        for i, p in enumerate(f_primes):
-            start = -lo % p
-            mark[start::p] |= 1 << i
-            phi_r[start::p] //= p - 1
-        m = mark[at]
-        gcd_nh = 1
-        if h_primes:
-            mark.fill(1)
-            for p in h_primes:
-                mark[-lo % p :: p] *= p
-            gcd_nh = mark[at]
-        splits = abs_b == 1
-        if abs_b > 1:
-            splits = _multiples(abs_b, lo, len(mu))[at]
-        on_delta = False
-        if abs_delta <= limit:
-            on_delta = _multiples(abs_delta, lo, len(mu))[at]
-        deg = _degree(n, gcd_nh, phi_r[at], splits)
-        special = _needs_symbol((n & 1) == 0, on_delta, splits)
-        keys, block = floor_sums(2 * m + special, top, deg, 0, mu[at])
-        for k, s in zip(keys.tolist(), block):
-            sums[k] = sums.get(k, 0) + s
+    for start in range(0, limit + 1, _SIEVE_BLOCK):
+        mob, phi = mu_phi_block(start, min(start + _SIEVE_BLOCK, limit + 1))
+        for lo in range(max(start, 1), start + len(mob), _BLOCK):
+            part = slice(lo - start, lo - start + _BLOCK)
+            keys, block = _block_sums(lo, mob[part], phi[part], f_primes, h_primes,
+                                      abs_b, abs_delta, top)
+            for k, s in zip(keys.tolist(), block):
+                sums[k] = sums.get(k, 0) + s
     # distinct masks give distinct d, so each (d, special) occurs once
     return tuple(sorted(((d_of[k >> 1], bool(k & 1)), s) for k, s in sums.items()))
+
+
+def _block_sums(
+    lo: int, mu: np.ndarray, phi: np.ndarray, f_primes: list[int],
+    h_primes: list[int], abs_b: int, abs_delta: int, top: int,
+) -> tuple[np.ndarray, list[int]]:
+    """`_bucket_sums`' keys and their sums over lo <= n < lo + len(mu), as
+    `sieves.floor_sums` returns them, from mu(n) and phi(n) there; abs_b
+    and abs_delta are 0 where they divide no n, and top is
+    floor(2^192 / phi(f))."""
+    at = np.flatnonzero(mu)  # the squarefree n, less lo
+    n = at + lo
+    mark = np.zeros(len(mu), dtype=np.int32)
+    phi_r = phi.copy()  # to be phi(n / d)
+    for i, p in enumerate(f_primes):
+        start = -lo % p
+        mark[start::p] |= 1 << i
+        phi_r[start::p] //= p - 1
+    m = mark[at]
+    gcd_nh = 1
+    if h_primes:
+        mark.fill(1)
+        for p in h_primes:
+            mark[-lo % p :: p] *= p
+        gcd_nh = mark[at]
+    splits = abs_b == 1
+    if abs_b > 1:
+        splits = _multiples(abs_b, lo, len(mu))[at]
+    on_delta = False
+    if abs_delta:
+        on_delta = _multiples(abs_delta, lo, len(mu))[at]
+    deg = _degree(n, gcd_nh, phi_r[at], splits)
+    special = _needs_symbol((n & 1) == 0, on_delta, splits)
+    return floor_sums(2 * m + special, top, deg, 0, mu[at])
 
 
 def series_truncated(prog: Progression, g: int, N: int = 10_000) -> SeriesEstimate:

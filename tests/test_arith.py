@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -46,6 +47,17 @@ class TestFactor:
 
     def test_mersenne_prime(self):
         assert factor(2**61 - 1).factors == ((2**61 - 1, 1),)
+
+    def test_primes_built_once(self):
+        # the cached factorization hands back one tuple, and the cache
+        # behind it is no field: equality, hash and repr see value and
+        # factors only
+        fac = factor(360)
+        assert fac.primes() == (2, 3, 5) and fac.primes() is fac.primes()
+        fresh = Factorization(360, ((2, 3), (3, 2), (5, 1)))
+        assert fac == fresh and hash(fac) == hash(fresh)
+        assert repr(fac) == "Factorization(value=360, factors=((2, 3), (3, 2), (5, 1)))"
+        assert [f.name for f in dataclasses.fields(fac)] == ["value", "factors"]
 
     @given(st.integers(min_value=1, max_value=10**12))
     @settings(max_examples=200, deadline=None)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from rootdensity.arith import euler_phi, is_squarefree, mobius
 from rootdensity import series
 from rootdensity.density import Progression, delta_closed, make_base
 from rootdensity.series import SeriesEstimate, c_a, degree_nkr, series_truncated
-from rootdensity.sieves import X_CAP
+from rootdensity.sieves import X_CAP, mu_phi_block
 
 from conftest import residues
 
@@ -174,15 +175,38 @@ class TestSeriesTruncated:
         # and prime to f, |b| sharing a prime with f, and |b|, |delta| above N
         cases += [(30030, 27, 3000), (28, 21**7, 3000), (21, -(3**7), 3000),
                   (4 * 3001, 15, 3000), (2, 3, 3000), (840, -223092870, 3000)]
+        # the squarefree N = 3003 = 7 * 429 is alone in a sieve block of 7
+        cases += [(12, 5, 3003)]
         whole = [series._bucket_sums(*case) for case in cases]
         series._bucket_sums.cache_clear()
+        # then mu/phi sieve blocks of 7, 1000 and 2^10 numbers, the last
+        # also walked in blocks of 11
+        sizes = [(series._SIEVE_BLOCK, 7), (series._SIEVE_BLOCK, 11), (7, series._BLOCK),
+                 (1000, series._BLOCK), (2**10, series._BLOCK), (2**10, 11)]
         try:
-            for block in (7, 11):
+            for sieve_block, block in sizes:
+                monkeypatch.setattr(series, "_SIEVE_BLOCK", sieve_block)
                 monkeypatch.setattr(series, "_BLOCK", block)
-                assert [series._bucket_sums(*case) for case in cases] == whole, block
+                got = [series._bucket_sums(*case) for case in cases]
+                assert got == whole, (sieve_block, block)
                 series._bucket_sums.cache_clear()
         finally:
             series._bucket_sums.cache_clear()
+
+    def test_bucket_pass_holds_two_sieve_blocks(self):
+        # past 2^20 the pass holds the two cached sieve blocks, 10.5 MB,
+        # and the one being built with its mask, 6.3 MB; whole tables
+        # peaked at 31 MB
+        mu_phi_block.cache_clear()
+        series._bucket_sums.cache_clear()
+        tracemalloc.start()
+        try:
+            series._bucket_sums(4, 2, 3 * 2**20)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            series._bucket_sums.cache_clear()
+        assert peak < 17_000_000
 
     @pytest.mark.parametrize("f,g,digest", [
         (30030, 27, "26ff227d86f4d17659c58cc3ab9f07a2ab2ed9b58072bb0c8a951db254703982"),
@@ -234,10 +258,10 @@ class TestSeriesTruncated:
 
     def test_rejects_truncation_past_cap(self, monkeypatch):
         # checked at the top, naming N, before a table is asked for
-        def no_table(limit):
+        def no_table(lo, hi):
             raise AssertionError("a table was built")
 
-        monkeypatch.setattr(series, "mobius_table", no_table)
+        monkeypatch.setattr(series, "mu_phi_block", no_table)
         with pytest.raises(ValueError, match=f"N={X_CAP + 1}"):
             series_truncated(Progression(1, 1), 2, N=X_CAP + 1)
 

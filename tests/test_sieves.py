@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 from rootdensity.arith import euler_phi, mobius
 from rootdensity.sieves import (
     X_CAP,
-    _mu_phi,
     floor_sums,
     mobius_table,
+    mu_phi_block,
     phi_table,
     prime_sieve,
     segment_primes,
@@ -36,6 +37,7 @@ def _check(limit: int, reference) -> None:
     assert len(mu) == len(phi) == limit + 1
     assert (mu[1:] == reference[0][:limit]).all()
     assert (phi[1:] == reference[1][:limit]).all()
+    assert mu[0] == 1 and phi[0] == 0
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 4, 97, 1000, 1024, 10**4 + 1])
@@ -51,16 +53,67 @@ def test_tables_at_prime_power_limits(limit, reference):
     _check(limit, reference)
 
 
+def _check_block(lo: int, hi: int, reference) -> None:
+    mu, phi = mu_phi_block(lo, hi)
+    assert mu.dtype == np.int8 and phi.dtype == np.int32
+    assert len(mu) == len(phi) == hi - lo
+    assert not mu.flags.writeable and not phi.flags.writeable
+    if lo == 0:
+        assert mu[0] == 1 and phi[0] == 0
+    first = max(lo, 1)
+    assert (mu[first - lo :] == reference[0][first - 1 : hi - 1]).all()
+    assert (phi[first - lo :] == reference[1][first - 1 : hi - 1]).all()
+
+
+# every block [lo, hi) ends on a prime power hi - 1; lo is 0, 1, 2, the
+# prime 97, or 97^2 - 1, 97^2 or 97^2 + 1, where the stride of 97^2
+# starts at -lo % 97^2 = 1, 0 or 97^2 - 1
+@pytest.mark.parametrize("lo, top", [
+    (0, 1), (0, 2**13), (0, 97**2),
+    (1, 2), (1, 3**8),
+    (2, 2), (2, 11**4),
+    (97, 97), (97, 101), (97, 97**2),
+    (97**2 - 1, 97**2), (97**2 - 1, 10007),
+    (97**2, 97**2), (97**2, 2**14),
+    (97**2 + 1, 10007), (97**2 + 1, 3**9),
+])
+def test_block_matches_scalar_functions(lo, top, reference):
+    _check_block(lo, top + 1, reference)
+
+
+@given(lo=st.integers(0, _TOP), top=st.sampled_from(_PRIME_POWERS))
+@settings(max_examples=60, deadline=None)
+def test_blocks_at_prime_power_ends(lo, top, reference):
+    _check_block(min(lo, top), top + 1, reference)
+
+
+def test_block_at_the_cap():
+    # the last numbers the series may reach, where sqrt(hi - 1) = 10^4
+    lo = X_CAP - 300
+    mu, phi = mu_phi_block(lo, X_CAP + 1)
+    assert mu.tolist() == [mobius(n) for n in range(lo, X_CAP + 1)]
+    assert phi.tolist() == [euler_phi(n) for n in range(lo, X_CAP + 1)]
+
+
 def test_tables_stop_at_the_cap():
-    # raised before any table is allocated
-    with pytest.raises(ValueError):
-        _mu_phi(X_CAP + 1)
+    # hi - 1 = X_CAP + 1 is refused before any array is allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError):
+            mu_phi_block(X_CAP - 10**6, X_CAP + 2)
+        assert tracemalloc.get_traced_memory()[1] < 10**5
+    finally:
+        tracemalloc.stop()
+    for lo, hi in [(-1, 5), (5, 5)]:
+        with pytest.raises(ValueError):
+            mu_phi_block(lo, hi)
 
 
-def test_table_cache_holds_one_limit():
-    _mu_phi(10**3)
-    _mu_phi(2 * 10**3)
-    assert _mu_phi.cache_info().currsize == 1
+def test_table_cache_holds_two_blocks():
+    assert mu_phi_block.cache_info().maxsize == 2
+    for lo in range(0, 4000, 1000):
+        mu_phi_block(lo, lo + 1000)
+    assert mu_phi_block.cache_info().currsize == 2
 
 
 def test_cached_tables_are_read_only():
