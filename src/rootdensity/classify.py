@@ -12,8 +12,7 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 
-from .arith import kronecker
-from .density import _CONTEXT_CACHE_SIZE, Progression, make_base
+from .density import _CONTEXT_CACHE_SIZE, Progression, _symbol, make_base
 
 __all__ = ["WudFamily", "WudVerdict", "ZeroCause", "ZeroReason", "wud_set", "zero_density"]
 
@@ -62,9 +61,9 @@ def zero_density(prog: Progression, g: int) -> ZeroReason:
     mask = 0
     if math.gcd(a - 1, prog.f, h) > 1:
         mask = 1
-    if splits and kronecker(delta, a) == 1:
+    if splits and _symbol(delta, a) == 1:
         mask |= 2
-    if cubic and kronecker(-delta // 3, a) == -1:
+    if cubic and _symbol(-delta // 3, a) == -1:
         mask |= 4
     return _ZERO_REASONS[mask]
 

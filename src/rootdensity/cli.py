@@ -105,13 +105,15 @@ def cmd_density(args) -> int:
     make_base(args.g)
     compute = delta_closed_v2 if args.method == "closed_v2" else delta_closed
     rows = []
-    # a modulus has at most 2 * tau(f) distinct coefficients: render each once
+    # a modulus has at most 2 * tau(f) distinct coefficients: render each
+    # once, keyed by the coefficient's integer pair, which hashes in C
     records = {}
     for prog in _classes(args):
         dv = compute(prog, args.g)
-        record = records.get(dv.coefficient)
+        key = dv.coefficient.numerator, dv.coefficient.denominator
+        record = records.get(key)
         if record is None:
-            record = records[dv.coefficient] = _density_record(
+            record = records[key] = _density_record(
                 args.g, args.f, prog.a, dv, args.method, args.digits)
         rows.append({**record, "a": str(prog.a)})
     _emit(rows, RECORD_COLUMNS, args.format, sys.stdout)

@@ -21,14 +21,16 @@ once into a `Fraction`.
 The density of a mod f depends on a only through gcd(a-1, f) and one
 Kronecker symbol, so a modulus has at most 2 * tau(f) distinct
 coefficients.  Each closed form keeps its own private context per
-(f, g) holding everything that does not depend on a, and the context
-memoises the value of each (gcd, symbol) pair; a class then costs a gcd,
-at most one Kronecker symbol and a dict lookup.  `classify.zero_density`
-keeps a context of its own too.  Each function keeps at most 64
-contexts, far fewer than the scalar caches, because the memos hold
-density values: every caller walks the classes of one (f, g) in a row,
-and a bound of 2**16 raised the peak RSS of the benchmark's exact-grid
-workload by about a third with no gain.
+(f, g) holding everything that does not depend on a: h, the symbol's
+top, the correction weight and its denominator.  The value is one
+`lru_cache`d function of every input of its formula, (f, h,
+m = gcd(a-1, f), denom, correction), shared by both routes and every
+base, and the symbol is read through one cache keyed by (top, a),
+shared with `classify.zero_density`; a class then costs a gcd and at
+most two cache lookups.  Each route still derives its own key, so a
+wrong ingredient gives a wrong value.  Contexts are bounded at 64 per
+function and the two shared caches at 256 entries each (see
+`_VALUE_CACHE_SIZE`).
 """
 
 from __future__ import annotations
@@ -275,13 +277,38 @@ def s_of_b(prog: Progression, base: Base) -> Fraction:
 # Bound of each per-(f, g) context cache below.  Every caller walks the
 # classes of one (f, g) in a row (the CLI's density, verify, scan and
 # classify, and a grid of classes), so a few dozen contexts serve them all.
-# The bound is set by memory, not hits: on the benchmark's exact-grid
-# workload (seed 7: every class of f <= 60 for each of 53 bases)
-# contexts bounded at _CACHE_SIZE gave a peak RSS of 34.5 MB, against
-# 25.5 MB at 64, and ran slower.  A context's memo holds at most
-# 2 * tau(f) values, so at most 64 * 2 * tau(f) density values per
-# function are live at any time.
+# A context holds a handful of ints; the values live in `_value`.
 _CONTEXT_CACHE_SIZE = 64
+
+# Bounds of the two caches shared by both routes and every base.  A
+# modulus f <= 60 has at most 2 * tau(f) <= 24 values per (f, g), and a
+# grid walks f in the same order for every base, so 256 entries hold the
+# values and symbols of the last few moduli.  On the benchmark's exact-grid
+# workload (seed 41: every class of f <= 60 for each of 53 bases) 256
+# entries each cut the values built per pass from 21 440 (one per context
+# and key) to 6 829, and the symbols evaluated from 48 768 to 3 044;
+# 4096 each raised the loop's max RSS by 1.7 MB.
+_VALUE_CACHE_SIZE = 256
+_SYMBOL_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
+def _symbol(top: int, a: int) -> int:
+    """kronecker(top, a), cached: both closed forms and `zero_density`
+    read a class's symbol through it."""
+    return kronecker(top, a)
+
+
+@lru_cache(maxsize=_VALUE_CACHE_SIZE)
+def _value(f: int, h: int, m: int, denom: int, correction: int) -> DensityValue:
+    """The density at gcd(a-1, f) = m: the coefficient of A at m over
+    phi(f), times the factor (denom + correction) / denom.  A function of
+    its key alone, so both routes and every base share it."""
+    num, den = _coeff_A_at(m, f, h)
+    num *= denom + correction
+    # every factor of den is positive, so this is the sign of the density
+    assert num >= 0
+    return DensityValue(Fraction(num, den * euler_phi(f) * denom))
 
 
 @dataclass(frozen=True)
@@ -290,30 +317,16 @@ class _Context:
 
     The density of a mod f depends on a only through m = gcd(a-1, f) and
     one Kronecker symbol chi = (top | a), which is read only when the
-    correction weight mu is nonzero.  The density at (m, chi) is the
-    coefficient of A at m (`_coeff_A_at`, shared by both routes) over
-    phi = phi(f), times (denom + correction) / denom.  Route 1 takes top,
-    mu and denom from `gamma_factor` and `_correction_denom`; route 2
-    codes its own.  memo maps (m, chi) to the density value.
+    correction weight mu is nonzero.  The density at (m, chi) is
+    `_value(f, h, m, denom, +-chi * mu)`.  Route 1 takes top, mu and denom
+    from `gamma_factor` and `_correction_denom`; route 2 codes its own, so
+    a wrong one changes the key and with it the value.
     """
 
-    f: int
     h: int
-    phi: int
     top: int
     mu: int
     denom: int
-    memo: dict[tuple[int, int], DensityValue]
-
-
-def _memo_value(ctx: _Context, m: int, correction: int) -> DensityValue:
-    # the density at gcd(a-1, f) = m: the coefficient of A at m over
-    # phi(f), times the factor (denom + correction) / denom
-    num, den = _coeff_A_at(m, ctx.f, ctx.h)
-    num *= ctx.denom + correction
-    # every factor of den is positive, so this is the sign of the density
-    assert num >= 0
-    return DensityValue(Fraction(num, den * ctx.phi * ctx.denom))
 
 
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
@@ -322,19 +335,15 @@ def _closed_context(f: int, g: int) -> _Context:
     b, gamma = gamma_factor(f, base)
     mu2b = mobius(2 * abs(b))
     denom = _correction_denom(b, f, base.h) if mu2b else 1
-    return _Context(f, base.h, euler_phi(f), gamma, mu2b, denom, {})
+    return _Context(base.h, gamma, mu2b, denom)
 
 
 def delta_closed(prog: Progression, g: int) -> DensityValue:
     """Exact density of the class, via the discriminant route."""
-    ctx = _closed_context(prog.f, g)
-    a = prog.a
-    m = math.gcd(a - 1, prog.f)
-    chi = kronecker(ctx.top, a) if ctx.mu else 0
-    value = ctx.memo.get((m, chi))
-    if value is None:
-        value = ctx.memo[m, chi] = _memo_value(ctx, m, chi * ctx.mu)
-    return value
+    f, a = prog.f, prog.a
+    ctx = _closed_context(f, g)
+    chi = _symbol(ctx.top, a) if ctx.mu else 0
+    return _value(f, ctx.h, math.gcd(a - 1, f), ctx.denom, chi * ctx.mu)
 
 
 @lru_cache(maxsize=_CONTEXT_CACHE_SIZE)
@@ -356,7 +365,7 @@ def _closed_v2_context(f: int, g: int) -> _Context:
         mu_beta = mobius(abs(beta))
         for p in factor(abs(beta)).primes():
             denom *= (p - 2) if base.h % p == 0 else (p * p - p - 1)
-    return _Context(f, base.h, euler_phi(f), gamma1, mu_beta, denom, {})
+    return _Context(base.h, gamma1, mu_beta, denom)
 
 
 def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
@@ -367,11 +376,7 @@ def delta_closed_v2(prog: Progression, g: int) -> DensityValue:
     recomputed from those congruences rather than from the parity of b,
     so equality with `delta_closed` is a meaningful cross-check.
     """
-    ctx = _closed_v2_context(prog.f, g)
-    a = prog.a
-    m = math.gcd(a - 1, prog.f)
-    chi = kronecker(ctx.top, a) if ctx.mu else 0
-    value = ctx.memo.get((m, chi))
-    if value is None:
-        value = ctx.memo[m, chi] = _memo_value(ctx, m, -chi * ctx.mu)
-    return value
+    f, a = prog.f, prog.a
+    ctx = _closed_v2_context(f, g)
+    chi = _symbol(ctx.top, a) if ctx.mu else 0
+    return _value(f, ctx.h, math.gcd(a - 1, f), ctx.denom, -chi * ctx.mu)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from decimal import Decimal
@@ -20,6 +21,8 @@ from rootdensity.density import (
     _closed_context,
     _closed_v2_context,
     _coeff_A_fixed,
+    _symbol,
+    _value,
     coeff_A,
     delta_closed,
     delta_closed_v2,
@@ -398,11 +401,13 @@ def _zero_density_rules(prog, g):
 class TestContexts:
     def test_eviction_and_call_order(self):
         # 720 (f, g) pairs visited class by class in a shuffled order, so
-        # contexts are evicted and rebuilt between classes of one modulus
+        # contexts, values and symbols are evicted and rebuilt between
+        # classes of one modulus
         bases = [2, -3, 12, 21**7, -(3**7), 1000003 * 1000117]
         contexts = (_closed_context, _closed_v2_context, _zero_context)
-        for context in contexts:
-            context.cache_clear()
+        shared = (_value, _symbol)
+        for cache in contexts + shared:
+            cache.cache_clear()
         triples = [(g, f, a) for g in bases for f in range(1, 121) for a in residues(f)]
         random.Random(16).shuffle(triples)
         for g, f, a in triples:
@@ -411,10 +416,39 @@ class TestContexts:
             assert delta_closed_v2(prog, g).coefficient == _fraction_chain_delta_closed_v2(prog, g), (g, a, f)
             reason = zero_density(prog, g)
             assert (reason.triggered, reason.cases) == _zero_density_rules(prog, g), (g, a, f)
-        for context in contexts:
-            info = context.cache_info()
+        for cache in contexts + shared:
+            info = cache.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
-            assert info.misses > len(bases) * 120  # some pairs were built again
+        for context in contexts:
+            assert context.cache_info().misses > len(bases) * 120  # some pairs were built again
+        for cache in shared:
+            info = cache.cache_info()
+            assert info.currsize == info.maxsize
+            assert info.misses > 10 * info.maxsize  # entries were evicted and built again
+
+    def test_shared_values_across_contexts(self):
+        # contexts that share (f, h) but differ in top, denom or the sign of
+        # the correction, with h = 1 for four bases and h = 3 for 27: a
+        # value cached under a key that leaves out denom or the correction's
+        # sign, or a symbol keyed without its top, is read by the wrong
+        # context.  Both walks run on warm shared caches after the first.
+        pairs = [(f, g) for f in (8, 12, 24, 28, 36) for g in (2, 5, -3, 12, 27)]
+        keys = {(f, *dataclasses.astuple(_closed_context(f, g))) for f, g in pairs}
+        shared_fh = {(f, _closed_context(f, g).h) for f, g in pairs}
+        assert len(keys) > 2 * len(shared_fh)  # (f, h) alone does not name a context
+        _value.cache_clear()
+        _symbol.cache_clear()
+        rng = random.Random(27)
+        for _ in range(2):
+            rng.shuffle(pairs)
+            for f, g in pairs:
+                for a in residues(f):
+                    prog = Progression(a, f)
+                    assert delta_closed(prog, g).coefficient == _fraction_chain_delta_closed(prog, g), (g, a, f)
+                    assert delta_closed_v2(prog, g).coefficient == _fraction_chain_delta_closed_v2(prog, g), (g, a, f)
+                    reason = zero_density(prog, g)
+                    assert (reason.triggered, reason.cases) == _zero_density_rules(prog, g), (g, a, f)
+        assert _value.cache_info().hits > 0 and _symbol.cache_info().hits > 0
 
 
 def _artin_constant_mpmath(dps: int) -> mpmath.mpf:

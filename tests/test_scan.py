@@ -403,23 +403,44 @@ class TestAgainstScalarOracle:
     def test_table_replaces_euler_pass(self, monkeypatch):
         # with a table, the only modular powers left are the odd-q order
         # tests, one element per (p, q) pair that is still open: one pair
-        # per slice shows each p stop at the first q that decides it
-        elements = _counting_pow_mod(monkeypatch)
-        monkeypatch.setattr(SCAN_MODULE, "_PAIR_CHUNK", 1)
+        # per slice shows each p stop at the first q that decides it.
+        # Without a table, the Euler pass adds one element per candidate,
+        # at exponent (p - 1)/2 (an odd q gives at most (p - 1)/3), and
+        # leaves the order test's elements as they were.
+        elements = []  # (p, exponent) per element, in call order
+
+        def recorded(table, row, exp, mod):
+            elements.extend(zip(mod.tolist(), exp.tolist()))
+            if len(row) == 1:
+                # one pair per slice: Python's pow of the row's base,
+                # table[row, 1], stands in for the vector kernel, whose
+                # tens of numpy calls would take most of the test's time
+                return np.array([pow(int(table[row[0], 1]), int(exp[0]), int(mod[0]))])
+            return _pow_mod(table, row, exp, mod)
+
+        monkeypatch.setattr(SCAN_MODULE, "_pow_mod", recorded)
         base_primes = prime_sieve(math.isqrt(GRID_X)).tolist()
         primes = list(sympy.primerange(5, GRID_X + 1))  # the p not dividing 12
         for g in (2, -3, 21**7):
             base = make_base(g)
+            table = _kronecker_table(base.delta)
             job = (g, 12, 2, GRID_X + 1, base_primes, base.h)
             candidates = [p for p in primes if g % p]
-            pairs = _tested_pairs(g, primes)
             elements.clear()
-            with_table = _scan_segment((*job, _kronecker_table(base.delta)))
-            assert sum(elements) == pairs
+            want = _scan_segment((*job, table))
+            order_tests = sorted(elements)
+            assert all(e < p >> 1 for p, e in order_tests)
             elements.clear()
-            assert _scan_segment((*job, None)) == with_table
-            # without: the Euler pass over every candidate for (g|p)
-            assert sum(elements) == pairs + len(candidates)
+            assert _scan_segment((*job, None)) == want
+            euler = sorted(p for p, e in elements if e == p >> 1)
+            assert euler == candidates
+            assert len(elements) == len(candidates) + len(order_tests)
+            assert sorted(pe for pe in elements if pe[1] != pe[0] >> 1) == order_tests
+            with monkeypatch.context() as one_pair:
+                one_pair.setattr(SCAN_MODULE, "_PAIR_CHUNK", 1)
+                elements.clear()
+                assert _scan_segment((*job, table)) == want
+            assert len(elements) == _tested_pairs(g, primes)
 
 
 class TestBoundedSegment:
