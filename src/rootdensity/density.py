@@ -292,11 +292,9 @@ _VALUE_CACHE_SIZE = 256
 _SYMBOL_CACHE_SIZE = 256
 
 
-@lru_cache(maxsize=_SYMBOL_CACHE_SIZE)
-def _symbol(top: int, a: int) -> int:
-    """kronecker(top, a), cached: both closed forms and `zero_density`
-    read a class's symbol through it."""
-    return kronecker(top, a)
+# _symbol(top, a) is kronecker(top, a): both closed forms and
+# `zero_density` read a class's symbol through it
+_symbol = lru_cache(maxsize=_SYMBOL_CACHE_SIZE)(kronecker)
 
 
 @lru_cache(maxsize=_VALUE_CACHE_SIZE)
