@@ -18,10 +18,10 @@ Each segment is array work, with no loop over its primes:
   be a primitive root only where the sign is -1, and that sign is also
   the heuristic's filter, so about half the primes stop here.
 - For the rest, sieving the shifted window of the values p - 1
-  (`sieves.factor_predecessors`) gives every distinct prime q | p - 1 and
-  phi(p - 1).  Where g = g0^h, a p with a prime r | gcd(p - 1, h) is
-  decided without a power, as g's order divides (p - 1)/r; the heuristic
-  skips the same primes.
+  (`sieves.factor_predecessors`) gives phi(p - 1) and every distinct odd
+  prime q | p - 1, as the sign has decided q = 2.  Where g = g0^h, a p
+  with a prime r | gcd(p - 1, h) is decided without a power, as g's
+  order divides (p - 1)/r; the heuristic skips the same primes.
 - `_pow_mod` decides g^((p-1)/q) != 1 for the odd q | p - 1, in slices
   of _PAIR_CHUNK pairs (p, q): left to right in 3-bit windows, from one
   table of g^0 .. g^7 mod p per prime (`_window_table`), so each 3 bits
@@ -104,12 +104,12 @@ class ScanConfig:
     byte per odd number), its arrays per prime, among them the order
     test's window table of 32 bytes per prime with (g|p) = -1, its
     arrays per (p, q) pair, and the stride pass's map of 4 bytes per odd
-    number.  A segment peaks near 0.83 MB at 2^17 and 2.44 MB at 2^19
-    (by tracemalloc), and every pool worker holds one.  A
-    pool gets at most `workers` processes, one per usable core and one
-    per `_JOBS_PER_WORKER` base segments that x spans, whatever the
-    segment length; with fewer than two, the segments run in process,
-    where they finish before a pool would start.
+    number.  A segment peaks near 0.69 MB at 2^17 and 2.20 MB at 2^19
+    (by tracemalloc), and every pool worker holds one.  A pool gets at
+    most `workers` processes, one per usable core and one per
+    `_JOBS_PER_WORKER` base segments that x spans, whatever the segment
+    length; with fewer than two, the segments run in process, where they
+    finish before a pool would start.
     """
 
     segment_size = 1 << 16  # not annotated, so a class constant and not a field
@@ -283,14 +283,9 @@ def _scan_segment(args: tuple) -> tuple:
         keep = table[p % len(table)] == -1
     p, key, gp = p[keep], key[keep], gp[keep]
     idx, q, phi = factor_predecessors(p, base_primes)
-    odd = q != 2
-    idx, q = idx[odd], q[odd]
     # g = g0^h has order dividing (p - 1)/r for a prime r | gcd(p - 1, h), so
     # those p fail without a power, and the heuristic skips the same p
-    if h == 1:
-        coprime = np.ones(len(p), dtype=bool)
-    else:
-        coprime = np.gcd(p - 1, h) == 1
+    coprime = np.gcd(p - 1, h) == 1
     # phi(p - 1) < p - 1, as floor_sums asks of an array numerator
     nz, sums = floor_sums(key[coprime], phi[coprime], p[coprime] - 1, _HEUR_BITS)
     heur = dict(zip(_classes(nz, lo, f), sums))

@@ -2,9 +2,11 @@
 tables, and exact per-key sums of floored quotients (`floor_sums`).
 
 The scanning harness sieves the odd numbers of [2, x] in cache-sized
-segments, then sieves the same window shifted by one to factor p - 1 for
-the primes it found; the series evaluator wants Moebius and totient
-values for every index up to its truncation point, one block at a time.
+segments, then sieves the same window shifted by one with the odd primes
+to factor the odd part of p - 1 for the primes it found, as the power of
+2 in p - 1 is its lowest set bit; the series evaluator wants Moebius and
+totient values for every index up to its truncation point, one block at
+a time.
 `mu_phi_block` sieves both over a block [lo, hi) with the primes up to
 sqrt(hi - 1), which leaves each index with at most one larger prime
 factor to apply.  The series reads blocks of 2^20 numbers, about 5 MB
@@ -78,28 +80,30 @@ def segment_primes(lo: int, hi: int, base_primes: list[int]) -> np.ndarray:
 def factor_predecessors(
     ns: np.ndarray, base_primes: list[int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct prime factors of n - 1 and phi(n - 1) for every n in ns.
+    """The distinct odd prime factors of n - 1, and phi(n - 1), for every
+    n in ns.
 
     ns is a sorted int64 array of distinct odd integers from 3 to 2**31,
-    and base_primes must cover sqrt(max(ns) - 1).  Sieving finds each
-    prime q up to that root with q | n - 1, and dividing out its powers
-    leaves of n - 1 a part with no prime factor up to its square root: 1
-    or a single prime, which joins the pairs.  Returns int32 arrays
-    (idx, q, phi): prime q divides ns[idx] - 1, each distinct q once per n,
-    and phi[i] = phi(ns[i] - 1).  Every value divides some n - 1 < 2**31,
-    so int32 holds it.
+    and base_primes must cover sqrt(max(ns) - 1).  The power 2^k of 2 in
+    n - 1 is its lowest set bit, with phi(2^k) = 2^(k-1).  Sieving finds
+    each odd prime q up to the root with q | n - 1, and dividing out 2^k
+    and their powers leaves of n - 1 a part with no prime factor up to
+    its square root: 1 or a single odd prime, which joins the pairs.
+    Returns int32 arrays (idx, q, phi): odd prime q divides ns[idx] - 1,
+    each distinct q once per n, and phi[i] = phi(ns[i] - 1).  Every value
+    divides some n - 1 < 2**31, so int32 holds it.
     """
     m = (ns - 1).astype(np.int32)
     idx, q = _sieve_divisors(ns, base_primes)
     q_power = _prime_powers(m[idx], q)
-    smooth = np.ones(len(ns), dtype=np.int32)
+    smooth = m & -m
+    phi = smooth >> 1
     np.multiply.at(smooth, idx, q_power)
     rest = m // smooth
     big = np.flatnonzero(rest > 1).astype(np.int32)
     idx = np.concatenate([idx, big])
     q = np.concatenate([q, rest[big]])
     q_power = np.concatenate([q_power, rest[big]])
-    phi = np.ones(len(ns), dtype=np.int32)
     np.multiply.at(phi, idx, q_power - q_power // q)
     return idx, q, phi
 
@@ -107,16 +111,17 @@ def factor_predecessors(
 def _sieve_divisors(
     ns: np.ndarray, base_primes: list[int]
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Pairs (idx, q) of the primes q <= sqrt(max(ns) - 1) dividing
+    """Pairs (idx, q) of the odd primes q <= sqrt(max(ns) - 1) dividing
     ns[idx] - 1, for sorted odd ns, grouped by q ascending.
 
-    2 divides every n - 1.  An odd q divides n - 1 for n = lo + 2t
-    exactly when t = (1 - lo) / 2 (mod q), so each q strides over the odd
-    numbers from lo = ns[0] to ns[-1] and keeps the positions of ns.  The
-    q below _STRIDE_CAP stride one slice each; the larger q, whose slices
-    are short and would cost a Python iteration each, stride in batches
-    of consecutive q (`_stride_batch`) of about _POSITION_BATCH positions,
-    so no array but the position map grows with the window.
+    An odd q divides n - 1 for n = lo + 2t exactly when t = (1 - lo) / 2
+    (mod q), so each q strides over the odd numbers from lo = ns[0] to
+    ns[-1] and keeps the positions of ns; 2 divides every n - 1 and is
+    left to the caller.  The q below _STRIDE_CAP stride one slice each;
+    the larger q, whose slices are short and would cost a Python
+    iteration each, stride in batches of consecutive q (`_stride_batch`)
+    of about _POSITION_BATCH positions, so no array but the position map
+    grows with the window.
     """
     n = len(ns)
     if not n:
@@ -129,12 +134,10 @@ def _sieve_divisors(
     t0 = (1 - lo) // 2
     split = bisect_left(base_primes, _STRIDE_CAP)
     end = bisect_right(base_primes, math.isqrt(top))
-    parts, used = [np.arange(n, dtype=np.int32)], [2]
-    for q in base_primes[1 : min(split, end)]:
-        hit = where[t0 % q :: q]
-        parts.append(hit[hit >= 0])
-        used.append(q)
-    q = np.repeat(np.array(used, dtype=np.int32), [len(part) for part in parts])
+    small = base_primes[1 : min(split, end)]
+    parts = [where[t0 % q :: q] for q in small]
+    parts = [hit[hit >= 0] for hit in parts]
+    q = np.repeat(np.array(small, dtype=np.int32), [len(part) for part in parts])
     big = np.array(base_primes[split:end], dtype=np.int32)
     start = t0 % big
     # a q whose first position lies past the window has an empty run
@@ -175,12 +178,9 @@ def _stride_batch(
 
 
 def _prime_powers(m: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The largest power of the prime q dividing m, elementwise (q | m)."""
+    """The largest power of the odd prime q dividing m, elementwise (q | m)."""
     q_power = q.copy()
-    # 2's power is m's lowest set bit, so only odd q divide repeatedly
-    two = q == 2
-    q_power[two] = m[two] & -m[two]
-    deeper = np.flatnonzero((m % (q * q) == 0) & ~two)
+    deeper = np.flatnonzero(m % (q * q) == 0)
     while deeper.size:
         q_power[deeper] *= q[deeper]
         deeper = deeper[m[deeper] // q_power[deeper] % q[deeper] == 0]

@@ -555,6 +555,14 @@ class TestArrayKernels:
            st.lists(st.integers(0, 999), min_size=1, max_size=60, unique=True))
     @example(1, [0])  # n = 3: n - 1 = 2 with no odd base prime
     @example(X_CAP // 2 - 1000, [999, 998, 500, 0])  # n up to X_CAP - 1
+    # n - 1 a power of 2: n = 5, 17, 257 and 65537
+    @example(2, [0, 6, 126])
+    # n - 1 = 2^k * P with P a prime above the root: n = 7 (2 * 3, with no
+    # odd base prime), 65543, 65645 and 65673 for k = 1, 2, 3 beside 2^16,
+    # and k = 1 to 7 and 9 below X_CAP
+    @example(1, [1, 2])
+    @example(32768, [0, 3, 54, 68])
+    @example(X_CAP // 2 - 1000, [31, 22, 28, 64, 88, 72, 552, 616])
     @settings(max_examples=200, deadline=None)
     def test_factor_predecessors_against_factor(self, start, offsets):
         ns = sorted(2 * (start + o) + 1 for o in offsets)
@@ -562,7 +570,8 @@ class TestArrayKernels:
         idx, q, phi = factor_predecessors(np.array(ns, dtype=np.int64), base_primes)
         pairs = sorted(zip(idx.tolist(), q.tolist()))
         assert len(set(pairs)) == len(pairs)
-        want = sorted((i, r) for i, n in enumerate(ns) for r in factor(n - 1).primes())
+        # the odd primes only: the scan's sign test has decided q = 2
+        want = sorted((i, r) for i, n in enumerate(ns) for r in factor(n - 1).primes() if r != 2)
         assert pairs == want
         assert phi.tolist() == [euler_phi(n - 1) for n in ns]
 
@@ -575,7 +584,8 @@ class TestArrayKernels:
         idx, q, phi = factor_predecessors(ns, base_primes)
         pairs = sorted(zip(idx.tolist(), q.tolist()))
         assert len(set(pairs)) == len(pairs)
-        want = sorted((i, r) for i, n in enumerate(ns.tolist()) for r in factor(n - 1).primes())
+        want = sorted((i, r) for i, n in enumerate(ns.tolist())
+                      for r in factor(n - 1).primes() if r != 2)
         assert pairs == want
         assert phi.tolist() == [euler_phi(n - 1) for n in ns.tolist()]
 
@@ -588,6 +598,7 @@ class TestArrayKernels:
             ns = segment_primes(lo, hi, base_primes)[::2]
             monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", 1 << 30)
             idx, q = _sieve_divisors(ns, base_primes)
+            assert not np.any(q == 2)
             for size in (1, 7, 1 << 12):
                 monkeypatch.setattr(SIEVES_MODULE, "_POSITION_BATCH", size)
                 got_idx, got_q = _sieve_divisors(ns, base_primes)
